@@ -11,7 +11,8 @@ are bistable). This driver runs the counterexample-guided loop of
   negative result, now a one-row regression);
 * ``attracting`` — references with the guard margin pushed negative
   (:data:`repro.engine.ATTRACTING_MARGIN`), where the loop converges
-  to SMT/ICP-validated certificates on the reduced models.
+  to certificates whose every condition is checked exactly (Sylvester
+  on the integer kernels) on the reduced models.
 
 Each row reports the loop status, round/cut counts, phase timings and
 the deterministic provenance digest (the CI smoke job golden-diffs it).
@@ -42,7 +43,6 @@ def run_cegis(
     snap: str = "structured",
     max_rounds: int = 40,
     max_iterations: int = 30_000,
-    verify_max_boxes: int = 20_000,
     refute: bool = False,
     icp_backend: str = "auto",
     jobs: int | None = 1,
@@ -68,8 +68,7 @@ def run_cegis(
             case_name=name, size=case_by_name(name).size,
             regime=regime, synthesis=synthesis, snap=snap,
             max_rounds=max_rounds, max_iterations=max_iterations,
-            verify_max_boxes=verify_max_boxes, refute=refute,
-            icp_backend=icp_backend,
+            refute=refute, icp_backend=icp_backend,
         )
         for name in case_names
         for regime, synthesis in grid

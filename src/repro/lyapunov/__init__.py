@@ -11,6 +11,7 @@ from .cegis import (
     PiecewiseCertificate,
     assemble_centered_lmi,
     cegis_piecewise,
+    definiteness_conditions,
     refute_certificate,
     seed_directions,
     snap_certificate,
@@ -63,6 +64,7 @@ __all__ = [
     "snap_certificate",
     "CertificateCheck",
     "CertificateVerification",
+    "definiteness_conditions",
     "verify_certificate",
     "CegisWitness",
     "refute_certificate",

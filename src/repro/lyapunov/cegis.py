@@ -27,11 +27,13 @@ left open (Ravanbakhsh & Sankaranarayanan; Ahmed, Peruffo & Abate):
   the continuity identity survives the snap (rounding the two modes
   independently — the paper's protocol — is kept as ``snap=
   "independent"`` and still fails, which the regression suite pins);
-* **sound S-procedure verification** — acceptance checks the matrix
+* **exact S-procedure verification** — acceptance checks the matrix
   blocks ``N_pos = P̄_1 - E^T U E - eps J_c`` and ``N_dec = -(Ā_1^T
-  P̄_1 + P̄_1 Ā_1) - E^T W E - eps J_c`` with the preconditioned
-  sphere-ICP definiteness check (pointwise region queries are kept as
-  the *refuter* only: cheap SAT witnesses, never the acceptance path);
+  P̄_1 + P̄_1 Ā_1) - E^T W E - eps J_c`` (and the two mode-0 blocks)
+  for positive definiteness by Sylvester's criterion on the integer
+  Bareiss kernels: an exact decision either way, with no search budget
+  (pointwise ICP region queries are kept as the *refuter* only: cheap
+  SAT witnesses, never the acceptance path);
 * **the CEGIS loop** — with ``synthesis="sampled"`` the synthesizer
   never sees the hard ``(d+1)``-dimensional mode-1 matrix blocks: it
   solves a finite relaxation over *sampled directions* (1x1 cuts), the
@@ -56,7 +58,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..exact import RationalMatrix, solve_vector, to_fraction
+from ..exact import (
+    RationalMatrix,
+    solve_vector,
+    sylvester_positive_definite,
+    to_fraction,
+)
 from ..sdp import (
     CompiledLmiSystem,
     LmiBlock,
@@ -73,7 +80,6 @@ from ..smt import (
     Relation,
     Var,
     affine_term,
-    check_positive_definite_icp,
     quadratic_form_term,
     witness_point,
 )
@@ -85,6 +91,7 @@ __all__ = [
     "snap_certificate",
     "CertificateCheck",
     "CertificateVerification",
+    "definiteness_conditions",
     "verify_certificate",
     "CegisWitness",
     "refute_certificate",
@@ -417,22 +424,20 @@ def snap_certificate(
 
 
 # ----------------------------------------------------------------------
-# Sound verification (acceptance path)
+# Exact verification (acceptance path)
 # ----------------------------------------------------------------------
 @dataclass
 class CertificateCheck:
-    """One verification condition: verdict plus refutation direction.
+    """One verification condition: exact verdict plus cut direction.
 
-    ``proved`` records whether the verdict came from the sound
-    sphere-ICP check (``True``) or only from the float eigenvalue
-    screen (``False`` — refutations are allowed to stay float-cheap,
-    acceptances are not).
+    Every verdict is decided in rational arithmetic. ``direction`` is
+    set only on a refuted definiteness condition: the float eigenvector
+    of the refuted matrix's smallest eigenvalue, which the loop turns
+    into a sampled cut.
     """
 
     name: str
-    verdict: bool | None
-    proved: bool = False
-    boxes: int = 0
+    verdict: bool
     direction: np.ndarray | None = None
 
 
@@ -444,82 +449,28 @@ class CertificateVerification:
     time: float = 0.0
 
     @property
-    def valid(self) -> bool | None:
-        verdicts = [c.verdict for c in self.checks]
-        if all(v is True for v in verdicts):
-            return True
-        if any(v is False for v in verdicts):
-            return False
-        return None
+    def valid(self) -> bool:
+        return all(c.verdict for c in self.checks)
 
     @property
     def failed(self) -> list:
-        return [c for c in self.checks if c.verdict is not True]
+        return [c for c in self.checks if not c.verdict]
 
     def verdict_map(self) -> dict:
         return {c.name: c.verdict for c in self.checks}
 
 
-def _sphere_check(
-    name: str,
-    matrix: RationalMatrix,
-    max_boxes: int,
-    delta: float,
-    backend: str,
-    screen_tol: float = 1e-9,
-) -> CertificateCheck:
-    """Preconditioned sphere-ICP definiteness with a float fast-path.
+def _definiteness_check(name: str, matrix: RationalMatrix) -> CertificateCheck:
+    """Exact ``matrix ≻ 0`` by Sylvester's criterion (integer minors).
 
-    A float eigenvalue screen refutes hopeless matrices immediately
-    (the min eigenvector is the refutation direction — exactly the cut
-    the loop needs); only when the float spectrum is comfortably
-    positive does the sound, exact-arithmetic check run: congruence by
-    a snapped inverse-Cholesky factor (definiteness-preserving for any
-    invertible rational ``T``), then the face-wise ICP proof.
+    Floats never decide the verdict; they only supply the cut direction
+    of a refuted matrix.
     """
-    n = matrix.rows
-    matrix_float = np.array(
-        [[float(matrix[i, j]) for j in range(n)] for i in range(n)]
-    )
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix_float)
-    if eigenvalues[0] < screen_tol:
-        return CertificateCheck(
-            name=name, verdict=False, proved=False,
-            direction=eigenvectors[:, 0],
-        )
-    preconditioner = None
-    try:
-        chol = np.linalg.cholesky(matrix_float)
-        preconditioner = RationalMatrix.from_numpy(
-            np.linalg.inv(chol).T
-        ).round_sigfigs(8)
-        conditioned = (
-            preconditioner.transpose() @ matrix @ preconditioner
-        ).symmetrize()
-    except np.linalg.LinAlgError:  # pragma: no cover - screen passed
-        conditioned = matrix
-    outcome = check_positive_definite_icp(
-        conditioned, delta=delta, max_boxes=max_boxes, backend=backend
-    )
-    direction = None
-    if outcome.verdict is not True:
-        if outcome.counterexample is not None:
-            direction = np.array(
-                [float(outcome.counterexample[f"w{i}"]) for i in range(n)]
-            )
-            if preconditioner is not None:
-                t_float = np.array(
-                    [
-                        [float(preconditioner[i, j]) for j in range(n)]
-                        for i in range(n)
-                    ]
-                )
-                direction = t_float @ direction
-        else:
-            direction = eigenvectors[:, 0]
+    if sylvester_positive_definite(matrix):
+        return CertificateCheck(name=name, verdict=True)
+    _, eigenvectors = np.linalg.eigh(matrix.to_numpy())
     return CertificateCheck(
-        name=name, verdict=outcome.verdict, proved=True,
-        boxes=outcome.boxes_explored, direction=direction,
+        name=name, verdict=False, direction=eigenvectors[:, 0]
     )
 
 
@@ -559,81 +510,67 @@ def _distance_form_exact(lmi: CenteredLmi) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
+def definiteness_conditions(
+    lmi: CenteredLmi, certificate: PiecewiseCertificate
+) -> dict[str, RationalMatrix]:
+    """The exact matrices a valid certificate makes positive definite.
+
+    * ``pos0``/``dec0`` — ``S_0`` and ``-(A_0^T S_0 + S_0 A_0)``
+      (``d``-dimensional);
+    * ``pos1``/``dec1`` — the augmented S-procedure blocks ``N_pos``
+      and ``N_dec`` (``d+1``-dimensional).
+    """
+    a0 = RationalMatrix.from_numpy(lmi.system.modes[0].flow.a)
+    s0 = certificate.s0
+    p1_bar = certificate.p1_bar
+    a1_bar = _augmented_flow_exact(lmi.system.modes[1].flow, lmi.d)
+    lie1 = (a1_bar.transpose() @ p1_bar + p1_bar @ a1_bar).symmetrize()
+    floor = _distance_form_exact(lmi).scale(to_fraction(lmi.epsilon))
+    return {
+        "pos0": s0,
+        "dec0": (a0.transpose() @ s0 + s0 @ a0).scale(-1).symmetrize(),
+        "pos1": (
+            p1_bar - _s_procedure_matrix(lmi, certificate.u1) - floor
+        ).symmetrize(),
+        "dec1": (
+            lie1.scale(-1) - _s_procedure_matrix(lmi, certificate.w1) - floor
+        ).symmetrize(),
+    }
+
+
 def verify_certificate(
-    lmi: CenteredLmi,
-    certificate: PiecewiseCertificate,
-    max_boxes: int = 20_000,
-    delta: float = 1e-7,
-    backend: str = "auto",
+    lmi: CenteredLmi, certificate: PiecewiseCertificate
 ) -> CertificateVerification:
-    """Soundly verify a certificate via the S-procedure matrix blocks.
+    """Exactly verify a certificate via the S-procedure matrix blocks.
 
     The pointwise region-1 conditions follow from ``N_pos ⪰ eps J_c``
     and ``N_dec ⪰ eps J_c`` with exactly-nonnegative multipliers (the
     S-procedure), so verification never needs the intractable pointwise
-    region queries — those stay in :func:`refute_certificate`. Checks:
+    region queries — those stay in :func:`refute_certificate`. Every
+    check is decided in rational arithmetic:
 
-    * ``surface``   — the continuity defect is exactly zero (rational);
+    * ``surface``   — the continuity defect is exactly zero;
     * ``multipliers`` — all six multipliers are exactly nonnegative;
-    * ``pos0``/``dec0`` — ``S_0`` and ``-(A_0^T S_0 + S_0 A_0)`` are
-      positive definite (``d``-dim sphere-ICP, preconditioned);
-    * ``pos1``/``dec1`` — the two augmented S-procedure blocks are
-      positive definite (``d+1``-dim sphere-ICP, preconditioned).
+    * ``pos0``/``dec0``/``pos1``/``dec1`` — the matrices of
+      :func:`definiteness_conditions` are positive definite (Sylvester
+      on the integer Bareiss kernels).
     """
     start = time.perf_counter()
-    checks: list[CertificateCheck] = []
     defect = certificate.surface_defect()
-    surface_ok = all(
-        defect[i, j] == 0
-        for i in range(defect.rows)
-        for j in range(defect.cols)
-    )
-    checks.append(
-        CertificateCheck(name="surface", verdict=surface_ok, proved=True)
-    )
-    multipliers_ok = all(
-        v >= 0 for v in list(certificate.u1) + list(certificate.w1)
-    )
-    checks.append(
+    checks = [
         CertificateCheck(
-            name="multipliers", verdict=multipliers_ok, proved=True
-        )
-    )
-    f0 = lmi.system.modes[0].flow
-    a0 = RationalMatrix.from_numpy(f0.a)
-    checks.append(
-        _sphere_check("pos0", certificate.s0, max_boxes, delta, backend)
-    )
-    checks.append(
-        _sphere_check(
-            "dec0",
-            (a0.transpose() @ certificate.s0 + certificate.s0 @ a0)
-            .scale(-1)
-            .symmetrize(),
-            max_boxes,
-            delta,
-            backend,
-        )
-    )
-    epsilon = to_fraction(lmi.epsilon)
-    j_c = _distance_form_exact(lmi)
-    n_pos = (
-        certificate.p1_bar
-        - _s_procedure_matrix(lmi, certificate.u1)
-        - j_c.scale(epsilon)
-    ).symmetrize()
-    checks.append(_sphere_check("pos1", n_pos, max_boxes, delta, backend))
-    a1_bar = _augmented_flow_exact(lmi.system.modes[1].flow, lmi.d)
-    lie1 = (
-        a1_bar.transpose() @ certificate.p1_bar
-        + certificate.p1_bar @ a1_bar
-    ).symmetrize()
-    n_dec = (
-        lie1.scale(-1)
-        - _s_procedure_matrix(lmi, certificate.w1)
-        - j_c.scale(epsilon)
-    ).symmetrize()
-    checks.append(_sphere_check("dec1", n_dec, max_boxes, delta, backend))
+            name="surface",
+            verdict=all(v == 0 for v in defect.iter_entries()),
+        ),
+        CertificateCheck(
+            name="multipliers",
+            verdict=all(v >= 0 for v in [*certificate.u1, *certificate.w1]),
+        ),
+    ]
+    checks += [
+        _definiteness_check(name, matrix)
+        for name, matrix in definiteness_conditions(lmi, certificate).items()
+    ]
     return CertificateVerification(
         checks=checks, time=time.perf_counter() - start
     )
@@ -680,7 +617,7 @@ def refute_certificate(
     *fails* (``V_1 <= 0`` or ``dV_1/dt >= 0``); a SAT answer yields an
     exact rational witness whose violation is re-derived with
     :mod:`repro.exact` arithmetic before it is trusted. Bounded budget:
-    UNSAT/UNKNOWN answers simply produce no witness (the sound
+    UNSAT/UNKNOWN answers simply produce no witness (the exact
     acceptance path is :func:`verify_certificate`, not this refuter).
     """
     d = len(certificate.w0)
@@ -839,8 +776,6 @@ def cegis_piecewise(
     max_iterations: int = 30_000,
     polish_outer: int = 60,
     target_margin: float = 0.5,
-    verify_max_boxes: int = 20_000,
-    verify_delta: float = 1e-7,
     refute: bool = False,
     refute_max_boxes: int = 20_000,
     refute_box_radius: float = 12.0,
@@ -856,11 +791,11 @@ def cegis_piecewise(
     relaxation (``"sampled"``) — with the deep-cut ellipsoid method
     warm-started from the previous round's iterate, polished by the
     level-shift barrier; (2) snap the iterate to an exact rational
-    certificate; (3) soundly verify it (:func:`verify_certificate`);
-    (4) on refutation, convert every counterexample direction (sphere
-    check refutations, plus pointwise ICP witnesses when ``refute=``)
-    into a sampled 1x1 cut, deduplicated by normalized-direction
-    fingerprint, and resynthesize.
+    certificate; (3) verify it exactly (:func:`verify_certificate`);
+    (4) on refutation, convert every counterexample direction (the
+    min-eigenvectors of refuted mode-1 blocks, plus pointwise ICP
+    witnesses when ``refute=``) into a sampled 1x1 cut, deduplicated by
+    normalized-direction fingerprint, and resynthesize.
 
     An ellipsoid infeasibility proof short-circuits the loop with
     status ``"infeasible"`` — on the paper's nominal references this
@@ -934,16 +869,10 @@ def cegis_piecewise(
             break
         previous_x = x
         certificate = snap_certificate(lmi, x, sigfigs=sigfigs, snap=snap)
-        verification = verify_certificate(
-            lmi,
-            certificate,
-            max_boxes=verify_max_boxes,
-            delta=verify_delta,
-            backend=icp_backend,
-        )
+        verification = verify_certificate(lmi, certificate)
         record.checks = verification.verdict_map()
         record.verify_time = verification.time
-        if verification.valid is True:
+        if verification.valid:
             status = "validated"
             break
         directions: list[tuple[str, np.ndarray]] = []

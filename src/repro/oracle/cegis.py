@@ -219,7 +219,6 @@ def check_cegis_scenario(
     profile=None,
     max_rounds: int = 40,
     max_iterations: int = 20_000,
-    verify_max_boxes: int = 10_000,
 ) -> FuzzRecord:
     """Run the full loop on one scenario and compare against ground truth.
 
@@ -257,7 +256,6 @@ def check_cegis_scenario(
             synthesis=synthesis,
             max_rounds=max_rounds,
             max_iterations=max_iterations,
-            verify_max_boxes=verify_max_boxes,
             lmi=lmi,
         )
     except Exception as error:

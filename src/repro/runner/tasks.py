@@ -490,7 +490,7 @@ class CegisTask(Task):
 
     def __init__(self, case_name, size, regime, synthesis="sampled",
                  snap="structured", max_rounds=40, max_iterations=30_000,
-                 verify_max_boxes=20_000, refute=False, icp_backend="auto"):
+                 refute=False, icp_backend="auto"):
         self.case_name = case_name
         self.size = size
         self.regime = regime
@@ -498,7 +498,6 @@ class CegisTask(Task):
         self.snap = snap
         self.max_rounds = max_rounds
         self.max_iterations = max_iterations
-        self.verify_max_boxes = verify_max_boxes
         self.refute = refute
         self.icp_backend = icp_backend
 
@@ -522,7 +521,6 @@ class CegisTask(Task):
             snap=self.snap,
             max_rounds=self.max_rounds,
             max_iterations=self.max_iterations,
-            verify_max_boxes=self.verify_max_boxes,
             refute=self.refute,
             icp_backend=self.icp_backend,
         )

@@ -10,10 +10,11 @@ Pins, in order of importance:
    *rounding protocol* (independent per-mode snap) is pinned to fail
    its surface check and stall: no cut can repair broken continuity.
 2. **The flip.** At attracting references the loop produces certificates
-   that survive the sound S-procedure/ICP verification — and the
-   property suite revalidates every accepted certificate independently
-   at tightened tolerance, plus hunts pointwise counterexamples that
-   must not exist.
+   that survive the exact S-procedure verification — and the property
+   suite revalidates every accepted matrix independently (Sylvester on
+   the Fraction kernel, ICP at tightened tolerance), checks the exact
+   verdicts against ICP on every certificate the loop snaps, and hunts
+   pointwise counterexamples that must not exist.
 3. **Witness exactness.** Every witness the pointwise refuter emits
    violates the claimed Lyapunov condition when re-evaluated in exact
    rational arithmetic — checked twice, through the matrix path and
@@ -34,11 +35,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.lyapunov.cegis as cegis_module
 from repro.engine import attracting_reference, case_by_name, nominal_reference
-from repro.exact import RationalMatrix
+from repro.exact import RationalMatrix, sylvester_positive_definite
 from repro.lyapunov import (
     assemble_centered_lmi,
     cegis_piecewise,
+    definiteness_conditions,
     refute_certificate,
     seed_directions,
     snap_certificate,
@@ -57,6 +60,7 @@ from repro.smt import (
     Relation,
     affine_term,
     atom_violation,
+    check_positive_definite_icp,
     point_satisfies,
     quadratic_form_term,
     Var,
@@ -74,6 +78,37 @@ def validated_size3(size3_attracting):
     outcome = cegis_piecewise(size3_attracting, synthesis="full")
     assert outcome.status == "validated"
     return outcome
+
+
+def _icp_verdict(matrix, delta, max_boxes):
+    """ICP's verdict on ``matrix ≻ 0`` (``None`` when undecided).
+
+    When the float Cholesky factor exists, the sphere check runs on the
+    congruence ``T^T M T`` by its snapped inverse ``T``: any invertible
+    rational ``T`` preserves definiteness, and the congruence makes the
+    sphere check well conditioned (unconditioned, the size3 blocks
+    exhaust 60k boxes per face undecided).
+    """
+    try:
+        factor = np.linalg.cholesky(matrix.to_numpy())
+    except np.linalg.LinAlgError:
+        conditioned = matrix
+    else:
+        t = RationalMatrix.from_numpy(np.linalg.inv(factor).T).round_sigfigs(8)
+        # T is triangular, so a nonzero diagonal makes it invertible.
+        assert all(t[i, i] != 0 for i in range(t.rows))
+        conditioned = (t.transpose() @ matrix @ t).symmetrize()
+    return check_positive_definite_icp(
+        conditioned, delta=delta, max_boxes=max_boxes
+    ).verdict
+
+
+def _assert_revalidates(lmi, certificate):
+    """Every accepted matrix is positive definite again, through two
+    paths that share no code with the integer-kernel acceptance."""
+    for name, matrix in definiteness_conditions(lmi, certificate).items():
+        assert sylvester_positive_definite(matrix, backend="fraction"), name
+        assert _icp_verdict(matrix, delta=1e-9, max_boxes=60_000), name
 
 
 # ----------------------------------------------------------------------
@@ -126,16 +161,37 @@ class TestValidatedCertificates:
     def test_accepted_certificate_revalidates_at_tight_tolerance(
         self, size3_attracting, validated_size3
     ):
-        """Independent re-verification: fresh assembly, ICP delta two
-        orders tighter, bigger box budget — the acceptance must not
-        hinge on the loop's own tolerances."""
+        """Independent re-verification: fresh assembly, then each of the
+        four accepted matrices through Fraction-kernel Sylvester and
+        through ICP at delta=1e-9 with 60k boxes."""
         lmi = assemble_centered_lmi(size3_attracting)
-        verification = verify_certificate(
-            lmi, validated_size3.certificate,
-            max_boxes=60_000, delta=1e-9,
-        )
-        assert verification.valid is True
-        assert all(check.proved for check in verification.checks)
+        conditions = definiteness_conditions(lmi, validated_size3.certificate)
+        assert list(conditions) == ["pos0", "dec0", "pos1", "dec1"]
+        _assert_revalidates(lmi, validated_size3.certificate)
+
+    def test_pd_condition_below_old_float_screen_is_accepted(
+        self, size3_attracting, validated_size3
+    ):
+        """A positive definite ``S_0`` whose smallest eigenvalue (1e-12)
+        sits below the 1e-9 float screen that used to refute it is
+        accepted; its negative twin is refuted along that eigenvector."""
+        lmi = assemble_centered_lmi(size3_attracting)
+        d = lmi.d
+
+        def pos0_check(last):
+            rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+            rows[-1][-1] = last
+            certificate = dataclasses.replace(
+                validated_size3.certificate, s0=RationalMatrix(rows)
+            )
+            checks = verify_certificate(lmi, certificate).checks
+            return next(c for c in checks if c.name == "pos0")
+
+        accepted = pos0_check(Fraction(1, 10**12))
+        assert accepted.verdict is True and accepted.direction is None
+        refuted = pos0_check(Fraction(-1, 10**12))
+        assert refuted.verdict is False
+        np.testing.assert_allclose(np.abs(refuted.direction), np.eye(d)[-1])
 
     def test_no_pointwise_counterexample_exists(
         self, size3_attracting, validated_size3
@@ -148,33 +204,45 @@ class TestValidatedCertificates:
         )
         assert witnesses == []
 
-    def test_scalar_and_batched_verification_agree(self, size3_attracting):
-        lmi = assemble_centered_lmi(size3_attracting)
-        outcome = cegis_piecewise(size3_attracting, synthesis="full")
-        verdicts = {}
-        for backend in ("scalar", "batched"):
-            verification = verify_certificate(
-                lmi, outcome.certificate, backend=backend
-            )
-            verdicts[backend] = verification.verdict_map()
-        assert verdicts["scalar"] == verdicts["batched"]
-
     @settings(max_examples=6)
     @given(st.integers(0, 10_000), st.integers(1, 3))
     def test_shared_scenarios_validate_and_revalidate(self, seed, n):
         """Ground-truth shared-witness scenarios: the sampled loop must
-        validate, and the accepted certificate must survive tightened
-        independent ICP revalidation."""
+        validate, and every accepted matrix must survive independent
+        revalidation."""
         scenario = generate_cegis_scenario("cegis-shared", n, seed)
         lmi = assemble_centered_lmi(scenario.system)
         outcome = cegis_piecewise(
             scenario.system, synthesis="sampled", lmi=lmi
         )
         assert outcome.status == "validated", (seed, n)
-        verification = verify_certificate(
-            lmi, outcome.certificate, max_boxes=40_000, delta=1e-9
-        )
-        assert verification.valid is True
+        _assert_revalidates(lmi, outcome.certificate)
+
+    @settings(max_examples=6)
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    def test_exact_verdicts_agree_with_icp_on_every_snap(self, seed, n):
+        """Every certificate the sampled loop snaps, accepted or not:
+        the loop's exact verdict on each definiteness condition equals
+        ICP's wherever ICP decides."""
+        scenario = generate_cegis_scenario("cegis-shared", n, seed)
+        lmi = assemble_centered_lmi(scenario.system)
+        verified = []
+        verify = cegis_module.verify_certificate
+
+        def recording(lmi, certificate):
+            verification = verify(lmi, certificate)
+            verified.append((certificate, verification.verdict_map()))
+            return verification
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cegis_module, "verify_certificate", recording)
+            cegis_piecewise(scenario.system, synthesis="sampled", lmi=lmi)
+        for certificate, verdicts in verified:
+            conditions = definiteness_conditions(lmi, certificate)
+            for name, matrix in conditions.items():
+                icp = _icp_verdict(matrix, delta=1e-9, max_boxes=4_000)
+                if icp is not None:
+                    assert verdicts[name] is icp, (seed, n, name)
 
     @settings(max_examples=4)
     @given(st.integers(0, 10_000), st.integers(1, 3))

@@ -248,19 +248,25 @@ class TestShardDeath:
         tasks = [EchoTask(i) for i in range(N)]
         reference = self._clean_digest(tmp_path, tasks)
         stats = CampaignStats()
+        collect = TimingCollector()
         path = tmp_path / "kill.jsonl"
         with Journal(path) as journal:
             results = run_sharded(
                 tasks, shards=4, journal=journal, stats=stats,
-                heartbeat_s=0.05, lease_ttl=2.0,
+                collect=collect, heartbeat_s=0.05, lease_ttl=2.0,
                 chaos=ShardChaosPolicy(kill_shard=1, kill_after=2),
             )
         # zero lost, zero duplicated
         assert results == list(range(N))
         assert len(Journal.load(path)) == N
         assert journal_digest(path) == reference
-        # the killed shard's unacked work was requeued
-        assert stats.requeued_tasks >= 1
+        # The killed shard journaled its 2nd task and died before the
+        # ack, so the supervisor harvested that task from the dead
+        # shard's journal (recorded under the bare shard name, no pid).
+        # Whether anything is left to requeue depends on how much of the
+        # dead shard's queue the survivors stole first; the harvest does
+        # not.
+        assert "shard1" in {timing.worker for timing in collect.timings}
         assert stats.total == stats.executed == N
 
     def test_torn_tail_killed_shard(self, tmp_path):
