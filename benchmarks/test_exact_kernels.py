@@ -8,15 +8,7 @@ measured per-backend wall times into the ``kernels`` section of
    slower than the Fraction oracle;
 2. at n=18 (the paper's largest closed-loop dimension before the
    integer ladder tops out) both are at least 5x faster — measured
-   headroom is ~2x beyond the pin (int ~9.6x, modular ~10x);
-3. when gmpy2 is installed, its mpz Bareiss determinant is at least 3x
-   faster than the Python-int path at n=18 and n=21 (the big-int
-   arithmetic dominates there); without gmpy2 those columns are
-   simply absent from the artifact and the pin is skipped —
-   ``resolve_backend("gmpy2")`` degrades to ``"int"`` silently.
-
-``REPRO_PERF_SOFT=1`` (shared/noisy CI runners) demotes a missed
-gmpy2 pin to a warning but still hard-fails below 1.5x.
+   headroom is ~2x beyond the pin (int ~9.6x, modular ~10x).
 
 Matrices follow the shape the validation pipeline actually feeds the
 kernels: a Lie derivative ``-(A^T P + P A)`` of a float-exact stable
@@ -28,10 +20,8 @@ Hadamard bounds of ~2700 bits at n=18.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +29,6 @@ import numpy as np
 from repro.exact import (
     RationalMatrix,
     bareiss_determinant,
-    gmpy2_available,
     kernel_cache_info,
     leading_principal_minors,
 )
@@ -49,11 +38,7 @@ BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / (
     "BENCH_experiments.json"
 )
 SIZES = (3, 5, 10, 15, 18, 21)
-BACKENDS = ("fraction", "int", "modular") + (
-    ("gmpy2",) if gmpy2_available() else ()
-)
-#: gmpy2-vs-int determinant pin at n >= 18 (only when gmpy2 is there).
-PIN_GMPY2 = 3.0
+BACKENDS = ("fraction", "int", "modular")
 
 
 def lie_shaped(n, seed):
@@ -117,33 +102,8 @@ def test_kernel_backends_scaling_writes_bench():
     assert at18["modular_det_s"] * 5 <= at18["fraction_det_s"]
     assert at18["int_minors_s"] * 5 <= at18["fraction_minors_s"]
 
-    # Pin 3 (optional dependency): mpz arithmetic beats Python ints by
-    # 3x on the big-bit-size determinants. Skipped entirely when gmpy2
-    # is absent — the backend then resolves to "int" and there is
-    # nothing to time.
-    if gmpy2_available():
-        soft = bool(os.environ.get("REPRO_PERF_SOFT"))
-        for n in ("18", "21"):
-            speedup = sizes[n]["int_det_s"] / sizes[n]["gmpy2_det_s"]
-            floor = PIN_GMPY2 / 2 if soft else PIN_GMPY2
-            if soft and speedup < PIN_GMPY2:
-                warnings.warn(
-                    f"kernels[gmpy2 n={n}]: {speedup:.1f}x below the "
-                    f"{PIN_GMPY2:g}x pin (soft mode, floor {floor:g}x)",
-                    stacklevel=1,
-                )
-            assert speedup >= floor, (
-                f"kernels[gmpy2 n={n}]: det only {speedup:.1f}x over "
-                f"int (floor {floor:g}x)"
-            )
-
     data = write_kernels_bench(
-        BENCH_PATH,
-        {
-            "sizes": sizes,
-            "cache": kernel_cache_info(),
-            "gmpy2_available": gmpy2_available(),
-        },
+        BENCH_PATH, {"sizes": sizes, "cache": kernel_cache_info()}
     )
     assert data["schema"] == "repro-bench/2"
     on_disk = json.loads(BENCH_PATH.read_text())

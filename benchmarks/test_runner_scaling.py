@@ -28,6 +28,7 @@ from repro.exact import (
 )
 from repro.experiments import MethodKey, run_table1
 from repro.runner import Task, TimingCollector, run_tasks, write_bench
+from repro.service import CampaignEngine
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / (
     "BENCH_experiments.json"
@@ -73,11 +74,15 @@ def test_quick_grid_scaling_writes_bench():
     kwargs = dict(sizes=(3,), integer_sizes=(3,), methods=QUICK_METHODS)
     serial_timing = TimingCollector()
     (serial_records, _), serial_s = _timed(
-        lambda: run_table1(jobs=1, timing=serial_timing, **kwargs)
+        lambda: run_table1(
+            engine=CampaignEngine(jobs=1, timing=serial_timing), **kwargs
+        )
     )
     parallel_timing = TimingCollector()
     (parallel_records, _), parallel_s = _timed(
-        lambda: run_table1(jobs=2, timing=parallel_timing, **kwargs)
+        lambda: run_table1(
+            engine=CampaignEngine(jobs=2, timing=parallel_timing), **kwargs
+        )
     )
 
     def normalize(record):

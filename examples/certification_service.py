@@ -1,4 +1,4 @@
-"""Certification as a service: cache, dedup, batching, warm workers.
+"""Certification as a service: cache, dedup, batching, persistence.
 
 Certifies a small fleet of gain-scheduled PI loops (the paper's Eq.
 18-22 closed-loop interconnection under a grid of gains) through one
@@ -10,24 +10,16 @@ Certifies a small fleet of gain-scheduled PI loops (the paper's Eq.
 3. a batched pass — all pending LMI candidate screens resolved through
    one compiled batched-eigh call, bit-identical to the direct path;
 4. a persistent store — the cache written as a journal file another
-   service instance (or a later run) reads back;
-5. a warm-worker pool + asyncio front — resident workers with compiled
-   tensors pre-warmed, backpressure, per-request provenance.
+   service instance (or a later run) reads back.
 
 Run:  python examples/certification_service.py
 """
 
-import asyncio
 import pathlib
 import tempfile
 
 import repro
-from repro.service import (
-    AsyncCertificationService,
-    CertificateStore,
-    CertificationService,
-    WarmPool,
-)
+from repro.service import CertificateStore, CertificationService
 
 
 def gain_grid():
@@ -79,32 +71,6 @@ def main() -> None:
             print(f"[3] persistent store: fresh service answered from "
                   f"disk ({revived.store.disk_hits} disk hit, "
                   f"0 recomputations)")
-
-    # -- warm pool + asyncio front ------------------------------------
-    async def pooled_fleet():
-        with CertificationService(
-            pool=WarmPool(jobs=2, warm_sizes=(6,)), sigfigs=8
-        ) as service:
-            front = AsyncCertificationService(service, max_pending=4)
-            requests = [
-                service.request(
-                    plant.a, plant.b, plant.c, gains=(kp, ki),
-                    method="lmi", backend="ipm",
-                )
-                for plant, kp, ki in gain_grid()
-            ]
-            certificates = await front.gather(requests)
-            return certificates, service.counters()
-
-    certificates, counters = asyncio.run(pooled_fleet())
-    workers = {
-        pid
-        for c in certificates
-        for pid in c.provenance["workers"]
-    }
-    print(f"[4] warm pool: {len(certificates)} requests over "
-          f"{counters['pool']['jobs']} resident workers "
-          f"(pids {sorted(workers)}), asyncio front with backpressure")
 
     print("\n==> fleet certified; every layer returned bit-identical "
           "certificates.")

@@ -15,7 +15,6 @@ from .kernels import (
     clear_denominators,
     clear_kernel_cache,
     fallback_backend,
-    gmpy2_available,
     hadamard_bound,
     kernel_cache_info,
     resolve_backend,
@@ -69,7 +68,6 @@ __all__ = [
     "KERNEL_BACKENDS",
     "KERNEL_FALLBACKS",
     "fallback_backend",
-    "gmpy2_available",
     "clear_denominators",
     "clear_kernel_cache",
     "hadamard_bound",

@@ -54,8 +54,6 @@ def _int_minor_stream(matrix: RationalMatrix, mode: str):
     rows, _den = kernels.normalized(matrix)
     if mode == "modular":
         return iter(kernels.modular_leading_principal_minors(rows))
-    if mode == "gmpy2":
-        return kernels.iter_gmpy2_leading_principal_minors(rows)
     return kernels.iter_int_leading_principal_minors(rows)
 
 
@@ -124,10 +122,7 @@ def ldl_positive_definite(
     mode = kernels.resolve_backend(backend, matrix.rows, op="ldl")
     if mode != "fraction":
         rows, _den = kernels.normalized(matrix)
-        if mode == "gmpy2":
-            data = kernels.gmpy2_ldlt(rows)
-        else:
-            data = kernels.int_ldlt(rows)
+        data = kernels.int_ldlt(rows)
         if data is None:
             return False
         _columns, minors = data

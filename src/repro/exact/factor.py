@@ -7,12 +7,13 @@ fraction-free elimination pivots (the SymPy-style definiteness check),
 and an LDL^T factorization for symmetric matrices.
 
 Every public entry point dispatches over the kernel layer
-(:mod:`repro.exact.kernels`) via ``backend="auto"|"fraction"|"int"|
-"gmpy2"|"modular"``: the historical entry-by-entry Fraction algorithms
-are kept verbatim as the ``"fraction"`` differential-testing oracle,
+(:mod:`repro.exact.kernels`) via
+``backend="auto"|"fraction"|"int"|"modular"``: the historical
+entry-by-entry Fraction algorithms are kept verbatim as the
+``"fraction"`` differential-testing oracle,
 while the integer and multimodular kernels do the same work 10-100x
 faster by clearing denominators once and eliminating over plain Python
-ints (or GMP ``mpz`` limbs, or over ``Z/p`` with CRT reconstruction
+ints (or over ``Z/p`` with CRT reconstruction
 certified against the Hadamard bound). Results are bit-identical
 across backends.
 """
@@ -63,8 +64,6 @@ def bareiss_determinant(
     rows, den = kernels.normalized(matrix)
     if mode == "int":
         det_int = kernels.int_bareiss_determinant(rows)
-    elif mode == "gmpy2":
-        det_int = kernels.gmpy2_bareiss_determinant(rows)
     else:
         det_int = kernels.modular_determinant(rows)
     return Fraction(det_int, den ** matrix.rows)
@@ -131,8 +130,6 @@ def iter_leading_principal_minors(
     rows, den = kernels.normalized(matrix)
     if mode == "int":
         stream: Iterator[int] = kernels.iter_int_leading_principal_minors(rows)
-    elif mode == "gmpy2":
-        stream = kernels.iter_gmpy2_leading_principal_minors(rows)
     else:
         stream = iter(kernels.modular_leading_principal_minors(rows))
     scale = 1
@@ -259,10 +256,7 @@ def solve(
     if mode != "fraction":
         a_rows, a_den = kernels.normalized(matrix)
         b_rows, b_den = kernels.normalized(rhs)
-        if mode == "gmpy2":
-            x = kernels.gmpy2_solve_columns(a_rows, b_rows)
-        else:
-            x = kernels.int_solve_columns(a_rows, b_rows)
+        x = kernels.int_solve_columns(a_rows, b_rows)
         # (N_A / a_den) X = N_B / b_den  =>  X = (a_den / b_den) * X_int.
         rescale = Fraction(a_den, b_den)
         if rescale != 1:
@@ -303,8 +297,6 @@ def rank(matrix: RationalMatrix, backend: str = "auto") -> int:
     mode = kernels.resolve_backend(backend, matrix.rows, op="rank")
     if mode != "fraction":
         rows, _den = kernels.normalized(matrix)
-        if mode == "gmpy2":
-            return kernels.gmpy2_rank(rows)
         return kernels.int_rank(rows)
     aug = [matrix.row(i) for i in range(matrix.rows)]
     rank_, _ = _eliminate(aug, matrix.rows, matrix.cols)
@@ -331,10 +323,7 @@ def ldl(
     mode = kernels.resolve_backend(backend, matrix.rows, op="ldl")
     if mode != "fraction":
         rows, den = kernels.normalized(matrix)
-        if mode == "gmpy2":
-            data = kernels.gmpy2_ldlt(rows)
-        else:
-            data = kernels.int_ldlt(rows)
+        data = kernels.int_ldlt(rows)
         if data is None:
             return None
         columns, minors = data

@@ -45,16 +45,7 @@ Backend names (shared by every dispatching wrapper)::
     "auto"      int for streamed minors, multimodular for large dets
     "fraction"  the historical Fraction path (differential oracle)
     "int"       fraction-free Bareiss over Python ints
-    "gmpy2"     the same Bareiss recurrences over GMP ``mpz`` limbs
-                (optional; resolves to "int" when gmpy2 is missing)
     "modular"   multimodular CRT under the Hadamard bound
-
-The ``"gmpy2"`` backend reuses the *same* integer kernels — they are
-duck-typed over any exact integer scalar — seeded with ``mpz`` entries,
-and converts results back to plain ``int`` at the boundary, so its
-outputs are bit-identical to ``"int"`` by construction (the fuzzer
-still checks). GMP's subquadratic multiplication wins once Bareiss
-intermediates reach thousands of bits, i.e. on the n=18/21 candidates.
 """
 
 from __future__ import annotations
@@ -71,16 +62,10 @@ try:  # only the batched modular kernels want NumPy; degrade to scalar
 except ImportError:  # pragma: no cover - NumPy is a hard dependency here
     _np = None
 
-try:  # optional: GMP limbs for the bignum Bareiss hot path
-    import gmpy2 as _gmpy2
-except ImportError:
-    _gmpy2 = None
-
 __all__ = [
     "KERNEL_BACKENDS",
     "KERNEL_FALLBACKS",
     "fallback_backend",
-    "gmpy2_available",
     "resolve_backend",
     "clear_denominators",
     "normalized",
@@ -93,28 +78,21 @@ __all__ = [
     "int_solve_columns",
     "int_ldlt",
     "int_charpoly",
-    "gmpy2_bareiss_determinant",
-    "iter_gmpy2_leading_principal_minors",
-    "gmpy2_rank",
-    "gmpy2_solve_columns",
-    "gmpy2_ldlt",
-    "gmpy2_charpoly",
     "modular_determinant",
     "modular_leading_principal_minors",
     "kernel_primes",
 ]
 
-KERNEL_BACKENDS = ("auto", "fraction", "int", "gmpy2", "modular")
+KERNEL_BACKENDS = ("auto", "fraction", "int", "modular")
 
 #: Graceful-degradation order for kernel failures: an unexpected error
 #: in the multimodular path falls back to the plain integer Bareiss,
 #: which in turn falls back to the entry-by-entry Fraction oracle (the
 #: slowest but most battle-tested implementation). ``fraction`` is the
-#: end of the chain; ``gmpy2`` degrades sideways into ``int`` (same
-#: recurrences, plain Python bignums). Consumers (the validators,
+#: end of the chain. Consumers (the validators,
 #: chiefly) record every hop so degraded verdicts stay distinguishable
 #: from clean ones.
-KERNEL_FALLBACKS = {"modular": "int", "gmpy2": "int", "int": "fraction"}
+KERNEL_FALLBACKS = {"modular": "int", "int": "fraction"}
 
 
 def fallback_backend(mode: str) -> str | None:
@@ -122,10 +100,6 @@ def fallback_backend(mode: str) -> str | None:
     of the ``modular -> int -> fraction`` chain)."""
     return KERNEL_FALLBACKS.get(mode)
 
-
-def gmpy2_available() -> bool:
-    """Is the optional gmpy2 package importable in this process?"""
-    return _gmpy2 is not None
 
 #: Below this dimension the plain integer Bareiss beats the CRT path
 #: (prime reductions plus one elimination per prime), so "auto" routes
@@ -150,10 +124,6 @@ def resolve_backend(backend: str, n: int | None = None, op: str = "det") -> str:
         raise KeyError(
             f"unknown kernel backend {backend!r}; known: {KERNEL_BACKENDS}"
         )
-    if backend == "gmpy2" and _gmpy2 is None:
-        # Optional dependency missing: degrade silently to the plain
-        # integer kernels, which compute the identical results.
-        return "int"
     if backend != "auto":
         return backend
     if op == "det" and n is not None and n >= MODULAR_MIN_N:
@@ -479,94 +449,6 @@ def int_charpoly(rows: Sequence[Sequence[int]]) -> list[int]:
                 for i in range(n)
             ]
     return coeffs
-
-
-# ----------------------------------------------------------------------
-# gmpy2 kernels: the integer kernels seeded with GMP mpz limbs
-# ----------------------------------------------------------------------
-#
-# The Bareiss/LDL^T/Faddeev-LeVerrier kernels above are duck-typed over
-# any exact integer scalar (*, -, //, divmod, comparison against 0), so
-# the gmpy2 backend is a thin boundary layer: convert inputs to ``mpz``
-# once, run the identical recurrences on GMP limbs, convert results back
-# to plain ``int``. Equality with the "int" backend is therefore by
-# construction (same code path), and the conversions keep mpz objects
-# from leaking into Fraction arithmetic or pickled records downstream.
-
-def _require_gmpy2() -> None:
-    if _gmpy2 is None:  # pragma: no cover - callers resolve to "int" first
-        raise RuntimeError(
-            "gmpy2 backend requested but gmpy2 is not installed"
-        )
-
-
-def _mpz_rows(rows: Sequence[Sequence[int]]) -> list[list]:
-    mpz = _gmpy2.mpz
-    return [[mpz(x) for x in row] for row in rows]
-
-
-def gmpy2_bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """:func:`int_bareiss_determinant` on GMP ``mpz`` entries."""
-    _require_gmpy2()
-    return int(int_bareiss_determinant(_mpz_rows(rows)))
-
-
-def iter_gmpy2_leading_principal_minors(
-    rows: Sequence[Sequence[int]],
-) -> Iterator[int]:
-    """:func:`iter_int_leading_principal_minors` on GMP ``mpz`` entries."""
-    _require_gmpy2()
-    for minor in iter_int_leading_principal_minors(_mpz_rows(rows)):
-        yield int(minor)
-
-
-def gmpy2_rank(rows: Sequence[Sequence[int]]) -> int:
-    """:func:`int_rank` on GMP ``mpz`` entries."""
-    _require_gmpy2()
-    return int_rank(_mpz_rows(rows))
-
-
-def gmpy2_solve_columns(
-    a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]
-) -> list[list[Fraction]]:
-    """:func:`int_solve_columns` with the O(n^3) elimination on ``mpz``.
-
-    The eliminated augmented matrix is converted back to plain ints
-    before the rational back-substitution, so the Fraction arithmetic
-    never sees an mpz operand.
-    """
-    _require_gmpy2()
-    n = len(a_rows)
-    width = len(b_rows[0]) if b_rows else 0
-    mpz = _gmpy2.mpz
-    aug = [
-        [mpz(x) for x in a_rows[i]] + [mpz(x) for x in b_rows[i]]
-        for i in range(n)
-    ]
-    _bareiss_forward(aug, n, width)
-    ints = [[int(x) for x in row] for row in aug]
-    return _back_substitute(ints, n, width)
-
-
-def gmpy2_ldlt(
-    rows: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[int]] | None:
-    """:func:`int_ldlt` on GMP ``mpz`` entries."""
-    _require_gmpy2()
-    result = int_ldlt(_mpz_rows(rows))
-    if result is None:
-        return None
-    columns, minors = result
-    return (
-        [[int(x) for x in column] for column in columns],
-        [int(x) for x in minors],
-    )
-
-
-def gmpy2_charpoly(rows: Sequence[Sequence[int]]) -> list[int]:
-    """:func:`int_charpoly` on GMP ``mpz`` entries."""
-    _require_gmpy2()
-    return [int(c) for c in int_charpoly(_mpz_rows(rows))]
 
 
 # ----------------------------------------------------------------------

@@ -51,10 +51,7 @@ def charpoly(matrix: RationalMatrix, backend: str = "auto") -> list[Fraction]:
     mode = kernels.resolve_backend(backend, matrix.rows, op="charpoly")
     if mode != "fraction":
         rows, den = kernels.normalized(matrix)
-        if mode == "gmpy2":
-            ints = kernels.gmpy2_charpoly(rows)
-        else:
-            ints = kernels.int_charpoly(rows)
+        ints = kernels.int_charpoly(rows)
         scale = 1
         coeffs = []
         for c in ints:

@@ -45,20 +45,14 @@ def run_cegis(
     max_iterations: int = 30_000,
     refute: bool = False,
     icp_backend: str = "auto",
-    jobs: int | None = 1,
-    task_deadline: float | None = None,
-    timing=None,
-    journal=None,
-    retry=None,
-    stats=None,
-    shards=None,
     engine=None,
 ) -> list[CegisRecord]:
     """Run the CEGIS grid as a resumable/sharded campaign.
 
     Every ``(case, regime, synthesis)`` cell is one
-    :class:`~repro.runner.CegisTask`; an explicit ``engine`` supersedes
-    the individual runner knobs (same contract as the other drivers).
+    :class:`~repro.runner.CegisTask`; ``engine`` (a
+    :class:`repro.service.CampaignEngine`; ``None`` runs in-process)
+    carries the runner context, as for the other drivers.
     """
     from ..runner import CegisTask
     from ..service.engine import CampaignEngine
@@ -73,10 +67,7 @@ def run_cegis(
         for name in case_names
         for regime, synthesis in grid
     ]
-    return CampaignEngine.ensure(
-        engine, jobs=jobs, task_deadline=task_deadline, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
-    ).run(tasks)
+    return (engine or CampaignEngine()).run(tasks)
 
 
 def render_cegis(records: list[CegisRecord]) -> str:

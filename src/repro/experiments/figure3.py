@@ -43,13 +43,6 @@ def run_figure3(
     size_caps: dict | None = None,
     sizes: tuple[int, ...] = (3, 5, 10, 15, 18),
     icp_max_boxes: int = 150_000,
-    jobs: int | None = 1,
-    task_deadline: float | None = None,
-    timing=None,
-    journal=None,
-    retry=None,
-    stats=None,
-    shards=None,
     fallback: bool = True,
     engine=None,
 ) -> list[Figure3Record]:
@@ -57,19 +50,18 @@ def run_figure3(
 
     Each (candidate, validator) pair is one runner task, so the slow
     search-based validators no longer serialize the sweep when
-    ``jobs > 1``. ``journal``/``retry``/``stats`` make the campaign
-    resumable; ``fallback=False`` disarms the degradation chains. An
-    explicit ``engine`` supersedes the individual runner knobs.
+    the engine runs workers. ``engine`` (a
+    :class:`repro.service.CampaignEngine`; ``None`` runs in-process)
+    carries the runner context; ``fallback=False`` disarms the
+    degradation chains.
     """
     import dataclasses
 
     from ..runner import Figure3Task
     from ..service.engine import CampaignEngine
 
-    engine = CampaignEngine.ensure(
-        engine, jobs=jobs, task_deadline=task_deadline, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
-    )
+    if engine is None:
+        engine = CampaignEngine()
     if size_caps is None:
         size_caps = DEFAULT_SIZE_CAPS
     if candidates is None:

@@ -28,13 +28,6 @@ def run_piecewise(
     solver: str = "hybrid",
     oracle_batch: bool = True,
     icp_backend: str = "auto",
-    jobs: int | None = 1,
-    task_deadline: float | None = None,
-    timing=None,
-    journal=None,
-    retry=None,
-    stats=None,
-    shards=None,
     engine=None,
 ) -> list[PiecewiseRecord]:
     """Run the synthesis+validation grid.
@@ -45,7 +38,8 @@ def run_piecewise(
     level-shift candidate finder); ``oracle_batch=False`` falls back to
     the per-block differential separation oracle. ``icp_backend``
     selects the validation refuter engine (``"auto"|"scalar"|"batched"``).
-    An explicit ``engine`` supersedes the individual runner knobs.
+    ``engine`` (a :class:`repro.service.CampaignEngine`; ``None`` runs
+    in-process) carries the runner context.
     """
     from ..runner import PiecewiseTask
     from ..service.engine import CampaignEngine
@@ -61,10 +55,7 @@ def run_piecewise(
         for name in case_names
         for encoding in encodings
     ]
-    return CampaignEngine.ensure(
-        engine, jobs=jobs, task_deadline=task_deadline, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
-    ).run(tasks)
+    return (engine or CampaignEngine()).run(tasks)
 
 
 def render_piecewise(records: list[PiecewiseRecord]) -> str:

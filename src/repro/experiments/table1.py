@@ -6,9 +6,9 @@ and each synthesis method/backend: synthesize a candidate (``eq-smt``
 under a wall-clock deadline, like the paper's 2 h limit scaled down),
 round it at 10 significant figures, and validate both Lyapunov
 conditions exactly. The grid is enumerated as picklable tasks and
-submitted through :mod:`repro.runner` (``jobs`` worker processes;
-``jobs=1`` runs in-process); results come back in submission order, so
-parallel runs render identically to serial ones. The renderer
+submitted through a :class:`repro.service.CampaignEngine` (worker
+processes, or in-process by default); results come back in submission
+order, so parallel runs render identically to serial ones. The renderer
 aggregates per size, matching the paper's layout: average synthesis
 time and "validated / total" ratio.
 
@@ -37,13 +37,6 @@ def run_table1(
     validator: str = "sylvester",
     sigfigs: int = 10,
     keep_candidates: bool = False,
-    jobs: int | None = 1,
-    task_deadline: float | None = None,
-    timing=None,
-    journal=None,
-    retry=None,
-    stats=None,
-    shards=None,
     fallback: bool = True,
     engine=None,
 ) -> tuple[list[Table1Record], dict]:
@@ -52,14 +45,11 @@ def run_table1(
     Returns the records plus (when ``keep_candidates``) a dict mapping
     ``(case, mode, method, backend)`` to the synthesized candidate —
     reused by the Figure 3 driver so the timing comparison runs on the
-    *same* candidates. ``jobs`` fans the grid out over worker processes
-    (``None`` = all cores); ``task_deadline`` is an optional per-task
-    wall-clock kill; ``timing`` is an optional
-    :class:`repro.runner.TimingCollector`. ``journal``/``retry``/
-    ``stats`` make the campaign resumable (see :mod:`repro.runner`);
-    ``fallback=False`` disarms the validator degradation chains. An
-    explicit ``engine`` (:class:`repro.service.CampaignEngine`)
-    supersedes the individual runner knobs.
+    *same* candidates. ``engine`` (a
+    :class:`repro.service.CampaignEngine`; ``None`` runs in-process)
+    carries the runner context: worker count, deadline, timing,
+    journal, retries, stats, shards. ``fallback=False`` disarms the
+    validator degradation chains.
     """
     # Imported lazily: the runner's task specs import this package's
     # records module (see repro.runner.tasks).
@@ -80,10 +70,7 @@ def run_table1(
         for mode in MODES
         for key in methods
     ]
-    outcomes = CampaignEngine.ensure(
-        engine, jobs=jobs, task_deadline=task_deadline, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
-    ).run(tasks)
+    outcomes = (engine or CampaignEngine()).run(tasks)
     records: list[Table1Record] = []
     candidates: dict = {}
     for task, outcome in zip(tasks, outcomes):
@@ -136,12 +123,6 @@ def rounding_sweep(
     sigfig_levels: tuple[int, ...] = (10, 6, 4),
     validator: str = "sylvester",
     base_records: list[Table1Record] | None = None,
-    jobs: int | None = 1,
-    timing=None,
-    journal=None,
-    retry=None,
-    stats=None,
-    shards=None,
     fallback: bool = True,
     engine=None,
 ) -> list[Table1Record]:
@@ -179,10 +160,7 @@ def rounding_sweep(
                     fallback=fallback,
                 )
             )
-    outcomes = CampaignEngine.ensure(
-        engine, jobs=jobs, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
-    ).run(tasks)
+    outcomes = (engine or CampaignEngine()).run(tasks)
     records = []
     for (case_name, mode, method, backend), _candidate in candidates.items():
         for sigfigs in sigfig_levels:

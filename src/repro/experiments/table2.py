@@ -26,21 +26,15 @@ def run_table2(
     methods: list[MethodKey] | None = None,
     sigfigs: int = 10,
     validator: str = "sylvester",
-    jobs: int | None = 1,
-    task_deadline: float | None = None,
-    timing=None,
-    journal=None,
-    retry=None,
-    stats=None,
-    shards=None,
     fallback: bool = True,
     engine=None,
 ) -> list[Table2Record]:
     """One runner task per (case, mode, method) cell; the shared
     per-(case, mode) geometry (switching surface, exact equilibrium) is
     rebuilt once per worker process (see
-    :func:`repro.runner.tasks._table2_context`). An explicit ``engine``
-    supersedes the individual runner knobs."""
+    :func:`repro.runner.tasks._table2_context`). ``engine`` (a
+    :class:`repro.service.CampaignEngine`; ``None`` runs in-process)
+    carries the runner context."""
     from ..runner import Table2Task
     from ..service.engine import CampaignEngine
 
@@ -56,10 +50,7 @@ def run_table2(
         for mode in MODES
         for key in methods
     ]
-    return CampaignEngine.ensure(
-        engine, jobs=jobs, task_deadline=task_deadline, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
-    ).run(tasks)
+    return (engine or CampaignEngine()).run(tasks)
 
 
 def render_table2(records: list[Table2Record]) -> str:

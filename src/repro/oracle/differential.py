@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..exact import RationalMatrix, gmpy2_available, is_hurwitz_matrix
+from ..exact import RationalMatrix, is_hurwitz_matrix
 from ..lyapunov import SynthesisTimeout, synthesize
 from ..sdp import LmiInfeasibleError
 from ..smt import check_positive_definite_icp
@@ -74,13 +74,9 @@ __all__ = [
 #: else (sympy, icp, scratch validators) runs once per matrix.
 _KERNEL_VALIDATORS = frozenset({"sylvester", "gauss", "ldl"})
 
-#: Default kernel-backend sweep. The optional ``"gmpy2"`` backend joins
-#: automatically when the package is importable, so an installed gmpy2
-#: is always under differential test against the int/Fraction oracles
-#: (and campaigns on machines without it keep their historical grid).
-_DEFAULT_KERNEL_BACKENDS = ("fraction", "int", "modular") + (
-    ("gmpy2",) if gmpy2_available() else ()
-)
+#: Default kernel-backend sweep: every backend against the Fraction
+#: oracle.
+_DEFAULT_KERNEL_BACKENDS = ("fraction", "int", "modular")
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,14 @@ replay; :mod:`repro.runner.chaos` injects deterministic faults to prove
 those invariants hold.
 
 For campaigns that must survive losing a whole *group* of workers,
-:mod:`repro.runner.shard` partitions the task list by fingerprint hash
-into independently-supervised shard processes with heartbeat leases,
-work-stealing and requeue-on-death; per-shard journals merge
-deterministically (:func:`merge_journals` / :func:`journal_digest`)
-back into the campaign journal, and :mod:`repro.runner.telemetry`
-renders live progress from the lease files alone.
+:func:`run_sharded` (:mod:`repro.runner.shard`) runs the same worker
+supervisor with a shard policy on top: fingerprint-hash home queues
+with work-stealing, per-shard journals written before each
+acknowledgement, heartbeat leases, and requeue-on-death. Per-shard
+journals merge deterministically (:func:`merge_journals` /
+:func:`journal_digest`) back into the campaign journal, and
+:mod:`repro.runner.telemetry` renders live progress from the lease
+files alone.
 """
 
 from .core import (

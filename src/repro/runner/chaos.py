@@ -71,11 +71,6 @@ class ChaosPolicy:
     *after* a successful run (keyed by fingerprint only, not attempt:
     the write happens once per completed task).
 
-    ``kill_after_s`` delays the injected kill until *after* the task has
-    started running — the worker dies mid-request with partial work
-    done, the fault the service's warm pool must absorb (retry on a
-    fresh warm worker, no lost or duplicated certificate). With the
-    default ``0.0`` the kill fires before the inner task starts.
     ``kill_first_attempts`` makes kills deterministic instead of drawn:
     a positive value kills exactly the first that-many attempts of
     every task and then lets retries succeed — the shape chaos tests
@@ -90,7 +85,6 @@ class ChaosPolicy:
     kill_rate: float = 0.0
     corrupt_rate: float = 0.0
     hang_s: float = 3600.0
-    kill_after_s: float = 0.0
     kill_first_attempts: int = 0
 
 
@@ -223,10 +217,6 @@ class ChaosTask(Task):
         )
         if kill:
             if os.getpid() != self.parent_pid:
-                if self.policy.kill_after_s > 0.0:
-                    # Die *mid-request*: the worker has accepted the
-                    # task and burned wall-clock before vanishing.
-                    time.sleep(self.policy.kill_after_s)
                 os._exit(23)  # a worker death the parent must survive
             # In-process there is no worker to kill; degrade to a
             # transient fault so jobs=1 chaos runs stay meaningful.

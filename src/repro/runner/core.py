@@ -16,16 +16,18 @@ serial run:
   its :meth:`Task.on_timeout` result recorded; a hung ``eq-smt`` call
   no longer serializes the whole sweep. (Deadlines are only enforceable
   in pooled mode — an in-process task cannot be killed.)
-* **Retries with backoff** — *transient* failures (a worker that died
-  without reporting, a deadline kill, a broken pipe, or a task raising
-  :class:`TransientTaskError`) are retried up to
-  :attr:`RetryPolicy.retries` times with exponential backoff plus
-  deterministic jitter (hashed from the submission index and attempt
-  number, so reruns back off identically). *Permanent* failures —
-  ordinary domain exceptions out of :meth:`Task.run` — are recorded
-  once, with a structured ``{"exc", "transient"}`` error record, and
-  never retried. Attempt counts flow into the timing artifact and the
-  :class:`CampaignStats` summary.
+* **Retries with backoff** — a task raising :class:`TransientTaskError`
+  is retried up to :attr:`RetryPolicy.retries` times with exponential
+  backoff plus deterministic jitter (hashed from the submission index
+  and attempt number, so reruns back off identically). A worker that
+  dies (EOF on its pipe or a dead process, whichever shows first) or
+  is killed at its deadline has its task *requeued* on a fresh worker
+  under the same attempt budget. *Permanent* failures — ordinary
+  domain exceptions out of :meth:`Task.run` — are recorded once, with
+  a structured ``{"exc", "transient"}`` error record, and never
+  retried. Attempt numbers are global per task across retries and
+  requeues; attempt, retry and requeue counts flow into the timing
+  artifact and the :class:`CampaignStats` summary.
 * **Durability** — pass ``journal=`` (a
   :class:`repro.runner.journal.Journal`) and every completed outcome is
   fsync'd to an append-only JSONL file keyed by task fingerprint;
@@ -34,13 +36,21 @@ serial run:
 * **Graceful degradation** — ``jobs=1``, an unavailable
   ``multiprocessing`` context, or a failed worker spawn all fall back
   to plain in-process execution; a worker that dies mid-task with no
-  retries left gets its task re-run in-process.
+  retries left gets its task re-run in-process (status
+  ``"fallback"``).
 * **Shared-nothing protocol** — tasks are small picklable specs
   (:mod:`repro.runner.tasks`) that resolve benchmark cases *by name*
   and rebuild matrices locally in the worker. Workers are persistent,
   so per-process caches (the balanced-truncation ladder) are built at
   most once per worker — and, under the preferred ``fork`` start
   method, inherited from the parent for free.
+
+One supervisor (:class:`_Pool`) owns spawn, dispatch, reply
+collection, liveness and the death path; :func:`run_sharded`
+(:mod:`repro.runner.shard`) runs the same loop with a shard policy on
+top. One worker function (:func:`_worker_main`), one attempt function
+(:func:`_attempt`) and one outcome-accounting path (:class:`_Run`)
+serve the in-process path, the pool and the shards alike.
 """
 
 from __future__ import annotations
@@ -295,117 +305,171 @@ def run_tasks(
         return []
     run = _Run(tasks, collect, journal, _resolve_retry(retry), stats)
     todo = run.replay()
-    if todo:
-        jobs = min(resolve_jobs(jobs), len(todo))
-        if jobs == 1:
-            for index, task in todo:
-                _run_local(index, task, run)
-        else:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # platforms without fork: spawn still works,
-                context = multiprocessing.get_context()  # caches warm/worker
-            _run_pooled(todo, jobs, context, task_deadline, run)
-    # Anything not yet finished (shouldn't happen, but never return
-    # holes): run it in-process.
-    for index, task in enumerate(tasks):
-        if not run.done[index]:
-            _run_local(index, task, run)
+    jobs = min(resolve_jobs(jobs), len(todo))
+    if jobs > 1:
+        _Pool(run, task_deadline, jobs).supervise(todo)
+    run.finish_locally()
     return run.results
 
 
+def _exc_message(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _attempt(task, attempt: int, policy: RetryPolicy):
+    """Run attempt number ``attempt`` of ``task``.
+
+    Returns ``(status, result, wall_s, error)``: ``"ok"``, ``"error"``
+    (``result`` is then the task's :meth:`Task.on_error` record) or
+    ``"retry"`` — a transient failure the policy re-attempts. Pool and
+    shard workers run one attempt per dispatch through this function;
+    :meth:`_Run.run_local` loops over it in-process.
+    """
+    try:
+        task.on_attempt(attempt)
+    except Exception:
+        pass
+    start = time.perf_counter()
+    try:
+        result = task.run()
+    except Exception as exc:
+        wall = time.perf_counter() - start
+        transient = isinstance(exc, TransientTaskError)
+        if transient and attempt <= policy.retries:
+            return "retry", None, wall, None
+        message = _exc_message(exc)
+        return (
+            "error", task.on_error(message), wall,
+            {"exc": message, "transient": transient},
+        )
+    return "ok", result, time.perf_counter() - start, None
+
+
+def _journal_outcome(journal, task, fingerprint, status, result, attempts,
+                     error) -> None:
+    """Append one final outcome (or, under chaos, a torn record)."""
+    kind = type(task).__name__
+    if task.corrupt_journal_record():
+        journal.record_corrupt(fingerprint, kind)
+    else:
+        journal.record(
+            fingerprint, kind, status, result, attempts=attempts, error=error
+        )
+
+
 class _Run:
-    """Bookkeeping shared by the local and pooled execution paths."""
+    """Per-campaign bookkeeping: the one outcome-accounting path
+    (result slot, stats, timing, journal) every finished task takes,
+    whether it ran in-process, in a pool worker or in a shard."""
 
     def __init__(self, tasks, collect, journal, policy, stats):
+        count = len(tasks)
         self.tasks = tasks
-        self.results = [None] * len(tasks)
-        self.done = [False] * len(tasks)
+        self.results = [None] * count
+        self.done = [False] * count
         self.collect = collect
         self.journal = journal
         self.policy = policy
         self.stats = stats
-        self.fingerprints: list[str | None] = [None] * len(tasks)
-        self.attempts: dict[int, int] = {}
-        self.requeues: dict[int, int] = {}
-        self.walls: dict[int, float] = {}
+        self.fingerprints: list[str | None] = [None] * count
+        #: Per task: the last attempt number used, the policy retries
+        #: and infrastructure requeues so far, and the wall time summed
+        #: over its attempts.
+        self.attempts = [0] * count
+        self.retries = [0] * count
+        self.requeues = [0] * count
+        self.walls = [0.0] * count
 
-    # -- journal replay ------------------------------------------------
-
-    def replay(self) -> list[tuple[int, "Task"]]:
-        """Mark journal hits done; return the (index, task) gaps to run."""
+    def replay(self) -> list[int]:
+        """Mark journal hits done; return the indices left to run."""
         if self.journal is None:
-            return list(enumerate(self.tasks))
+            return list(range(len(self.tasks)))
         todo = []
         for index, task in enumerate(self.tasks):
             fingerprint = self.journal.fingerprint(task)
             self.fingerprints[index] = fingerprint
             entry = self.journal.get(fingerprint)
             if entry is None:
-                todo.append((index, task))
+                todo.append(index)
                 continue
             self.results[index] = entry.result
             self.done[index] = True
             self.stats.replayed += 1
             self._emit_timing(
-                task, "replayed", 0.0, "journal", entry.result,
+                index, "replayed", 0.0, "journal", entry.result,
                 attempts=0, error=entry.error,
             )
         return todo
 
-    # -- attempt accounting --------------------------------------------
-
-    def next_attempt(self, index: int) -> int:
-        attempt = self.attempts.get(index, 0) + 1
-        self.attempts[index] = attempt
-        return attempt
-
     def may_retry(self, index: int) -> bool:
         """Is another attempt allowed after the current one failed?"""
-        return self.attempts.get(index, 1) <= self.policy.retries
+        return self.attempts[index] <= self.policy.retries
 
-    def note_requeue(self, index: int) -> None:
-        """Classify the task's next attempt as an infrastructure
-        requeue (worker death, deadline kill) rather than a policy
-        retry, so the two are reported distinctly."""
-        self.requeues[index] = self.requeues.get(index, 0) + 1
+    def run_local(self, index: int, status: str = "ok") -> None:
+        """Run one task in this process, honouring the retry policy.
 
-    def spend(self, index: int, wall: float) -> None:
-        self.walls[index] = self.walls.get(index, 0.0) + wall
+        The ``jobs=1`` path and every in-process last resort; a success
+        is recorded under ``status`` (``"fallback"`` after a worker
+        death with no requeue left).
+        """
+        task = self.tasks[index]
+        while True:
+            self.attempts[index] += 1
+            attempt = self.attempts[index]
+            outcome, result, wall, error = _attempt(task, attempt, self.policy)
+            self.walls[index] += wall
+            if outcome != "retry":
+                break
+            self.retries[index] += 1
+            time.sleep(self.policy.delay(attempt, index))
+        if outcome == "ok":
+            outcome = status
+        self.finish(index, outcome, result, "local", error)
 
-    # -- completion ----------------------------------------------------
+    def finish_locally(self) -> None:
+        """Run whatever is not done yet in-process (never return holes)."""
+        for index, done in enumerate(self.done):
+            if not done:
+                self.run_local(index)
 
-    def finish(self, index, task, status, worker, result, error=None):
-        """Record a final outcome: result slot, stats, timing, journal."""
+    def finish(self, index, status, result, worker, error=None,
+               journaled=False) -> None:
+        """Record a final outcome: result slot, stats, timing, journal.
+
+        ``journaled`` marks an outcome a shard already wrote to its own
+        journal (absorbed into the campaign journal at the end).
+        """
         self.results[index] = result
         self.done[index] = True
-        attempts = self.attempts.get(index, 1)
-        self.stats.executed += 1
-        requeues = min(self.requeues.get(index, 0), max(0, attempts - 1))
-        retries = max(0, attempts - 1 - requeues)
+        stats = self.stats
+        stats.executed += 1
+        retries, requeues = self.retries[index], self.requeues[index]
         if retries:
-            self.stats.retried_tasks += 1
-            self.stats.retry_attempts += retries
+            stats.retried_tasks += 1
+            stats.retry_attempts += retries
         if requeues:
-            self.stats.requeued_tasks += 1
-            self.stats.requeue_attempts += requeues
+            stats.requeued_tasks += 1
+            stats.requeue_attempts += requeues
         if status == "error":
-            self.stats.errors += 1
+            stats.errors += 1
         elif status == "timeout":
-            self.stats.timeouts += 1
+            stats.timeouts += 1
+        if error and error.get("journal_error"):
+            stats.journal_errors += 1
         detail = self._emit_timing(
-            task, status, self.walls.get(index, 0.0), worker, result,
-            attempts=attempts, error=error, requeues=requeues,
+            index, status, self.walls[index], worker, result,
+            attempts=self.attempts[index], error=error, requeues=requeues,
         )
         if detail.get("degraded"):
-            self.stats.degraded += 1
-        if self.journal is not None:
-            self._journal_write(index, task, status, result, attempts, error)
+            stats.degraded += 1
+        if self.journal is not None and not journaled:
+            self._journal_write(index, status, result, error)
 
     def _emit_timing(
-        self, task, status, wall, worker, result, attempts, error,
+        self, index, status, wall, worker, result, attempts, error,
         requeues=0,
     ) -> dict:
+        task = self.tasks[index]
         detail: dict = {}
         if status in ("ok", "fallback", "replayed"):
             try:
@@ -422,331 +486,349 @@ class _Run:
             )
         return detail
 
-    def _journal_write(self, index, task, status, result, attempts, error):
-        fingerprint = self.fingerprints[index]
-        if fingerprint is None:
-            fingerprint = self.journal.fingerprint(task)
-            self.fingerprints[index] = fingerprint
-        kind = type(task).__name__
+    def _journal_write(self, index, status, result, error):
+        task = self.tasks[index]
+        if self.fingerprints[index] is None:
+            self.fingerprints[index] = self.journal.fingerprint(task)
         try:
-            if task.corrupt_journal_record():
-                self.journal.record_corrupt(fingerprint, kind)
-            else:
-                self.journal.record(
-                    fingerprint, kind, status, result,
-                    attempts=attempts, error=error,
-                )
+            _journal_outcome(
+                self.journal, task, self.fingerprints[index], status,
+                result, self.attempts[index], error,
+            )
         except Exception:
             # A journaling failure must not take down the campaign; the
             # task simply re-runs on the next resume.
             self.stats.journal_errors += 1
 
 
-def _exc_message(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 # ----------------------------------------------------------------------
-# In-process execution (the jobs=1 path and the fallback of last resort)
+# The worker supervisor (the flat pool; shards override its policy)
 # ----------------------------------------------------------------------
 
-def _run_local(index, task, run: _Run, status: str = "ok"):
-    """Run one task in-process, honouring the retry policy."""
-    while True:
-        attempt = run.next_attempt(index)
-        try:
-            task.on_attempt(attempt)
-        except Exception:
-            pass
-        start = time.perf_counter()
-        try:
-            result = task.run()
-            error = None
-        except TransientTaskError as exc:
-            run.spend(index, time.perf_counter() - start)
-            if run.may_retry(index):
-                time.sleep(run.policy.delay(attempt, index))
-                continue
-            result = task.on_error(_exc_message(exc))
-            status = "error"
-            error = {"exc": _exc_message(exc), "transient": True}
-        except Exception as exc:
-            run.spend(index, time.perf_counter() - start)
-            result = task.on_error(_exc_message(exc))
-            status = "error"
-            error = {"exc": _exc_message(exc), "transient": False}
-        else:
-            run.spend(index, time.perf_counter() - start)
-        run.finish(index, task, status, "local", result, error)
-        return result
+def _worker_main(conn, supervisor_end, policy: RetryPolicy, hooks=None):
+    """Worker process: receive ``(index, task, attempt, note)``, run that
+    one attempt, reply ``(index, status, result, wall_s, error)``;
+    ``None`` shuts it down. Task errors are replies, not worker deaths.
 
-
-def _run_local_once(index, task, run: _Run, status: str):
-    """Single local attempt (no further retries) for last-resort paths."""
-    start = time.perf_counter()
-    error = None
+    ``hooks`` carries a shard's worker-side policy (see
+    :class:`repro.runner.shard._ShardWorker`): ``accept`` sees each
+    dispatch (``note`` marks steals and requeues), ``settle`` journals
+    each final outcome *before* the reply goes out.
+    """
+    # The fork copied the supervisor's end of this pipe; while this copy
+    # stays open a dead supervisor never shows as EOF here.
+    supervisor_end.close()
+    if hooks is not None:
+        hooks.start()
     try:
-        result = task.run()
-    except Exception as exc:
-        result = task.on_error(_exc_message(exc))
-        status = "error"
-        error = {
-            "exc": _exc_message(exc),
-            "transient": isinstance(exc, TransientTaskError),
-        }
-    run.spend(index, time.perf_counter() - start)
-    run.finish(index, task, status, "local", result, error)
-
-
-# ----------------------------------------------------------------------
-# Pooled execution
-# ----------------------------------------------------------------------
-
-def _worker_loop(connection):
-    """Persistent worker: receive ``(index, task)``, send back
-    ``(index, status, payload)``; ``None`` shuts the worker down. Errors
-    are reported structurally (message + transient classification), not
-    by killing the worker."""
-    while True:
-        try:
-            message = connection.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:
-            break
-        index, task = message
-        try:
-            payload = (index, "ok", task.run())
-        except BaseException as exc:  # report, don't kill the worker
-            payload = (
-                index,
-                "error",
-                {
-                    "exc": _exc_message(exc),
-                    "transient": isinstance(exc, TransientTaskError),
-                },
-            )
-        try:
-            connection.send(payload)
-        except (BrokenPipeError, OSError):
-            break
-        except Exception as exc:  # unpicklable result: report, carry on
+        while True:
             try:
-                connection.send(
-                    (
-                        index,
-                        "error",
-                        {"exc": _exc_message(exc), "transient": False},
-                    )
-                )
-            except Exception:
+                message = conn.recv()
+            except (EOFError, OSError):
                 break
-    try:
-        connection.close()
-    except OSError:
-        pass
-
-
-class _Worker:
-    __slots__ = ("process", "connection", "index", "task", "started")
-
-    def __init__(self, process, connection):
-        self.process = process
-        self.connection = connection
-        self.index = None  # submission index of the in-flight task
-        self.task = None
-        self.started = 0.0
-
-    @property
-    def busy(self) -> bool:
-        return self.index is not None
-
-    def clear(self) -> None:
-        self.index = self.task = None
-
-    def stop(self) -> None:
+            if message is None:
+                break
+            index, task, attempt, note = message
+            if hooks is not None:
+                hooks.accept(task, note)
+            status, result, wall, error = _attempt(task, attempt, policy)
+            if hooks is not None:
+                error = hooks.settle(task, attempt, status, result, error)
+            try:
+                conn.send((index, status, result, wall, error))
+            except OSError:
+                break
+            except Exception as exc:  # unpicklable result: report, carry on
+                message = _exc_message(exc)
+                try:
+                    conn.send((
+                        index, "error", task.on_error(message), wall,
+                        {"exc": message, "transient": False},
+                    ))
+                except Exception:
+                    break
+    finally:
+        if hooks is not None:
+            hooks.stop()
         try:
-            if self.process.is_alive():
-                self.connection.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=1.0)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=1.0)
-        try:
-            self.connection.close()
+            conn.close()
         except OSError:
             pass
 
 
-def _spawn_worker(context) -> _Worker:
-    parent_end, child_end = context.Pipe(duplex=True)
-    process = context.Process(
-        target=_worker_loop, args=(child_end,), daemon=True
-    )
-    process.start()
-    child_end.close()
-    return _Worker(process, parent_end)
+class _Worker:
+    """Supervisor-side handle of one worker process."""
 
+    __slots__ = ("process", "conn", "slot", "inflight", "started", "spawned")
 
-def _run_pooled(todo, jobs, context, task_deadline, run: _Run):
-    pending = deque(todo)
-    delayed: list[tuple[float, int, Task]] = []  # (ready_at, index, task)
-    workers: list[_Worker] = []
+    def __init__(self, process, conn, slot):
+        self.process = process
+        self.conn = conn
+        self.slot = slot
+        self.inflight: list[int] = []  # dispatched indices, in run order
+        self.started = 0.0  # when the oldest in-flight task started
+        self.spawned = time.time()
 
-    def requeue(index, task):
-        """Schedule a retry after its deterministic backoff."""
-        ready = time.monotonic() + run.policy.delay(
-            run.attempts.get(index, 1), index
-        )
-        delayed.append((ready, index, task))
-
-    def work_remains() -> bool:
-        return bool(pending or delayed)
-
-    try:
-        for _ in range(jobs):
+    def stop(self, graceful: bool = True) -> None:
+        if graceful:
             try:
-                workers.append(_spawn_worker(context))
-            except (OSError, ValueError):
+                self.conn.send(None)
+            except OSError:
+                pass
+            self.process.join(timeout=2.0)
+        for end in (self.process.terminate, self.process.kill):
+            if not self.process.is_alive():
                 break
-        while pending or delayed or any(w.busy for w in workers):
-            now = time.monotonic()
-            if delayed:
-                due = sorted(d for d in delayed if d[0] <= now)
-                if due:
-                    delayed = [d for d in delayed if d[0] > now]
-                    for _ready, index, task in due:
-                        pending.append((index, task))
-            if not workers:
-                # Pool unavailable (or every worker lost): degrade to
-                # in-process execution for whatever remains.
-                for _ready, index, task in sorted(delayed):
-                    pending.append((index, task))
-                delayed = []
-                while pending:
-                    index, task = pending.popleft()
-                    _run_local(index, task, run)
-                break
-            for worker in workers:
-                if not worker.busy and pending:
-                    index, task = pending.popleft()
-                    attempt = run.next_attempt(index)
-                    try:
-                        task.on_attempt(attempt)
-                    except Exception:
-                        pass
-                    try:
-                        worker.connection.send((index, task))
-                    except Exception:
-                        # Unpicklable task or broken pipe: run it here.
-                        _run_local_once(index, task, run, status="ok")
-                        continue
-                    worker.index, worker.task = index, task
-                    worker.started = time.monotonic()
-            busy = [w for w in workers if w.busy]
-            if not busy:
-                if not pending and delayed:
-                    time.sleep(
-                        min(
-                            _POLL_INTERVAL,
-                            max(0.0, min(d[0] for d in delayed) - now),
-                        )
-                    )
-                continue
-            ready = _wait_ready(
-                [w.connection for w in busy], timeout=_POLL_INTERVAL
-            )
-            now = time.monotonic()
-            for worker in busy:
-                if worker.connection in ready:
-                    if not _collect_reply(worker, run, now, requeue):
-                        workers = _replace(
-                            workers, worker, context, work_remains()
-                        )
-                elif not worker.process.is_alive():
-                    # Died without reporting (segfault, os._exit): give
-                    # any in-flight reply a last chance, then classify
-                    # the death as transient.
-                    if not _collect_reply(worker, run, now, requeue):
-                        index, task = worker.index, worker.task
-                        run.spend(index, now - worker.started)
-                        worker.clear()
-                        if run.may_retry(index):
-                            run.note_requeue(index)
-                            requeue(index, task)
-                        else:
-                            _run_local_once(index, task, run, "fallback")
-                    workers = _replace(
-                        workers, worker, context, work_remains()
-                    )
-                elif (
-                    task_deadline is not None
-                    and now - worker.started > task_deadline
-                ):
-                    elapsed = now - worker.started
-                    index, task = worker.index, worker.task
-                    worker.process.terminate()
-                    worker.process.join(timeout=5.0)
-                    run.spend(index, elapsed)
-                    worker.clear()
-                    if run.may_retry(index):
-                        run.note_requeue(index)
-                        requeue(index, task)
-                    else:
-                        run.finish(
-                            index, task, "timeout", worker.process.pid,
-                            task.on_timeout(elapsed),
-                            error={
-                                "exc": (
-                                    f"deadline exceeded ({elapsed:.3g}s"
-                                    f" > {task_deadline:.3g}s)"
-                                ),
-                                "transient": True,
-                            },
-                        )
-                    workers = _replace(
-                        workers, worker, context, work_remains()
-                    )
-    finally:
-        for worker in workers:
-            worker.stop()
-
-
-def _collect_reply(worker, run: _Run, now, requeue) -> bool:
-    """Receive one reply from ``worker`` if available; ``True`` on success."""
-    try:
-        if not worker.connection.poll():
-            return False
-        index, status, payload = worker.connection.recv()
-    except (EOFError, OSError):
-        return False
-    task = worker.task
-    run.spend(index, now - worker.started)
-    worker.clear()
-    if status == "ok":
-        run.finish(index, task, "ok", worker.process.pid, payload)
-        return True
-    if payload.get("transient") and run.may_retry(index):
-        requeue(index, task)
-        return True
-    run.finish(
-        index, task, "error", worker.process.pid,
-        task.on_error(payload.get("exc", "task error")), error=payload,
-    )
-    return True
-
-
-def _replace(workers, dead, context, work_remains):
-    """Swap a stopped worker for a fresh one (only while work remains)."""
-    remaining = [w for w in workers if w is not dead]
-    if dead.process.is_alive():
-        return workers  # still healthy — keep it
-    dead.stop()
-    if work_remains:
+            end()
+            self.process.join(timeout=2.0)
         try:
-            remaining.append(_spawn_worker(context))
-        except (OSError, ValueError):
+            self.conn.close()
+        except OSError:
             pass
-    return remaining
+
+
+class _Pool:
+    """The one worker supervisor: spawn, dispatch, collect, liveness,
+    death.
+
+    As it stands this is the flat pool behind ``run_tasks(jobs>1)``:
+    one shared queue, one task in flight per worker, results journaled
+    by the parent. A dead worker's task is requeued (its attempt is
+    spent) while the retry policy allows, else finished in-process as
+    ``"fallback"``; a deadline kill is requeued the same way, else
+    recorded as ``"timeout"``; dead workers are replaced while work
+    remains. :class:`repro.runner.shard._ShardPool` overrides the class
+    attributes and the policy hooks below to run shards on the same
+    loop.
+    """
+
+    window = 1  # tasks in flight per worker
+    respawn = True  # replace a dead worker while work remains
+    charge_deaths = True  # a worker death spends its running attempt
+    max_requeues: int | None = None  # None: the retry policy decides
+    worker_journals = False  # workers journal before they acknowledge
+
+    def __init__(self, run: _Run, deadline: float | None, count: int):
+        self.run = run
+        self.deadline = deadline
+        self.count = count
+        self.workers: list[_Worker] = []
+        self.pending: deque[int] = deque()
+        self.delayed: list[tuple[float, int]] = []  # (ready_at, index)
+        try:
+            self.context = multiprocessing.get_context("fork")
+        except ValueError:  # platforms without fork: spawn still works,
+            self.context = multiprocessing.get_context()  # caches warm/worker
+
+    # -- policy hooks -------------------------------------------------
+
+    def _hooks(self, slot):
+        """Worker-side hooks for a worker in ``slot`` (none here)."""
+        return None
+
+    def _name(self, worker) -> str:
+        return str(worker.process.pid)
+
+    def _enqueue(self, index: int) -> None:
+        self.pending.append(index)
+
+    def _queued(self) -> bool:
+        return bool(self.pending)
+
+    def _next(self, worker):
+        """``(index, note)`` to dispatch to ``worker``, or ``(None, None)``."""
+        return (self.pending.popleft(), None) if self.pending else (None, None)
+
+    def _dead_reason(self, worker, now: float) -> str | None:
+        if not worker.process.is_alive():
+            return "process exited"
+        if (
+            self.deadline is not None
+            and worker.inflight
+            and now - worker.started > self.deadline
+        ):
+            return "deadline"
+        return None
+
+    def _harvest(self, worker) -> None:
+        """Finish in-flight tasks a dead worker completed unacknowledged."""
+
+    def _abandon(self, worker) -> None:
+        """Hand a dead worker's queued (undispatched) work elsewhere."""
+
+    def _tick(self) -> None:
+        """Called once per scheduling pass (progress rendering)."""
+
+    # -- the loop -----------------------------------------------------
+
+    def supervise(self, todo: list[int]) -> None:
+        """Run ``todo`` on ``count`` workers until it is done or no
+        worker is left; the caller finishes the rest in-process."""
+        try:
+            for slot in range(self.count):
+                self._spawn(slot)
+            for index in todo:
+                self._enqueue(index)
+            while self.workers and self._work_left():
+                self._release(time.monotonic())
+                for worker in list(self.workers):
+                    self._fill(worker)
+                self._collect()
+                self._tick()
+        finally:
+            for worker in self.workers:
+                worker.stop()
+
+    def _spawn(self, slot) -> None:
+        try:
+            parent_end, child_end = self.context.Pipe(duplex=True)
+            process = self.context.Process(
+                target=_worker_main,
+                args=(
+                    child_end, parent_end, self.run.policy, self._hooks(slot)
+                ),
+                daemon=True,
+            )
+            process.start()
+        except (OSError, ValueError):
+            return  # no worker: the loop degrades to in-process
+        child_end.close()
+        self.workers.append(_Worker(process, parent_end, slot))
+
+    def _work_left(self) -> bool:
+        return bool(
+            self._queued() or self.delayed
+            or any(worker.inflight for worker in self.workers)
+        )
+
+    def _later(self, index: int) -> None:
+        """Re-dispatch ``index`` after its deterministic backoff."""
+        ready = time.monotonic() + self.run.policy.delay(
+            max(1, self.run.attempts[index]), index
+        )
+        self.delayed.append((ready, index))
+
+    def _release(self, now: float) -> None:
+        if not self.delayed:
+            return
+        due = sorted(item for item in self.delayed if item[0] <= now)
+        if due:
+            self.delayed = [item for item in self.delayed if item[0] > now]
+            for _ready, index in due:
+                self._enqueue(index)
+
+    def _fill(self, worker) -> None:
+        run = self.run
+        while len(worker.inflight) < self.window:
+            index, note = self._next(worker)
+            if index is None:
+                return
+            run.attempts[index] += 1
+            message = (index, run.tasks[index], run.attempts[index], note)
+            try:
+                worker.conn.send(message)
+            except OSError:  # broken pipe: the worker is gone
+                run.attempts[index] -= 1
+                self._enqueue(index)
+                self._bury(worker, "send failed", time.monotonic())
+                return
+            except Exception:  # unpicklable task: run it here
+                run.attempts[index] -= 1
+                run.run_local(index)
+                continue
+            if not worker.inflight:
+                worker.started = time.monotonic()
+            worker.inflight.append(index)
+
+    def _collect(self) -> None:
+        busy = [worker.conn for worker in self.workers if worker.inflight]
+        if busy:
+            ready = _wait_ready(busy, timeout=_POLL_INTERVAL)
+        else:
+            ready = []
+            pause = _POLL_INTERVAL
+            if self.delayed:
+                soonest = min(self.delayed)[0] - time.monotonic()
+                pause = min(pause, max(0.0, soonest))
+            time.sleep(pause)
+        now = time.monotonic()
+        for worker in list(self.workers):
+            if worker.conn in ready and not self._drain(worker, now):
+                # EOF on the pipe: the worker died, whatever is_alive()
+                # still says.
+                self._bury(worker, "pipe closed", now)
+                continue
+            reason = self._dead_reason(worker, now)
+            if reason is not None:
+                self._bury(worker, reason, now)
+
+    def _drain(self, worker, now: float) -> bool:
+        """Take every reply waiting on ``worker``'s pipe; ``False`` at EOF."""
+        try:
+            while worker.inflight and worker.conn.poll():
+                self._reply(worker, *worker.conn.recv(), now)
+        except (EOFError, OSError):
+            return False
+        return True
+
+    def _reply(self, worker, index, status, result, wall, error, now):
+        worker.inflight.remove(index)
+        worker.started = now  # the next in-flight task starts now
+        run = self.run
+        run.walls[index] += wall
+        if status == "retry":
+            run.retries[index] += 1
+            self._later(index)
+            return
+        run.finish(
+            index, status, result, self._name(worker), error,
+            journaled=self.worker_journals,
+        )
+
+    def _bury(self, worker, reason: str, now: float) -> None:
+        """The one death path: stop the worker, settle what it held."""
+        self.workers.remove(worker)
+        self._drain(worker, now)  # replies that beat the death
+        worker.stop(graceful=False)
+        self._harvest(worker)
+        run = self.run
+        for position, index in enumerate(worker.inflight):
+            if position == 0:  # the task it was running
+                elapsed = now - worker.started
+                run.walls[index] += elapsed
+                if reason == "deadline" and elapsed > self.deadline:
+                    self._timed_out(worker, index, elapsed)
+                    continue
+            if not self.charge_deaths:
+                run.attempts[index] -= 1
+            if self.max_requeues is None:
+                requeue = run.may_retry(index)
+            else:
+                requeue = run.requeues[index] < self.max_requeues
+            if requeue:
+                run.requeues[index] += 1
+                self._later(index)
+            else:
+                run.run_local(index, "fallback")
+        worker.inflight.clear()
+        self._abandon(worker)
+        if self.respawn and self._work_left():
+            self._spawn(worker.slot)
+
+    def _timed_out(self, worker, index: int, elapsed: float) -> None:
+        run = self.run
+        if run.may_retry(index):
+            run.requeues[index] += 1
+            self._later(index)
+            return
+        run.finish(
+            index, "timeout", run.tasks[index].on_timeout(elapsed),
+            self._name(worker),
+            error={
+                "exc": (
+                    f"deadline exceeded ({elapsed:.3g}s"
+                    f" > {self.deadline:.3g}s)"
+                ),
+                "transient": True,
+            },
+        )

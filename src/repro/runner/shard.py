@@ -1,45 +1,43 @@
-"""Fault-tolerant sharded campaign execution with heartbeat leases,
-work-stealing and deterministic journal merge.
+"""Fault-tolerant sharded campaigns: home queues with work-stealing,
+heartbeat leases, per-shard journals and a deterministic merge.
 
-:func:`repro.runner.run_tasks` survives losing a *worker*; a
-10⁵–10⁶-task envelope campaign must survive losing an entire *shard*
-of workers. :func:`run_sharded` partitions a campaign by task
-fingerprint hash into N shards, each executed by an independent
-single-process shard runner (spawned subprocess) that
+:func:`repro.runner.run_tasks` survives losing a *worker*; a sharded
+campaign survives losing a whole *shard*. :func:`run_sharded` runs on
+the same worker supervisor as the flat pool
+(:class:`repro.runner.core._Pool`) with the shard policy of
+:class:`_ShardPool` on top. Each worker is a shard that
 
-* journals every completed outcome to its **own per-shard journal**
-  (same append-only fsync'd format — the data plane),
-* rewrites a **heartbeat lease** file every ``heartbeat_s`` seconds
-  (the control plane — see :mod:`repro.runner.telemetry`), and
-* acknowledges completions to the supervisor over a pipe (progress
-  only; results never cross the pipe — they flow through journals).
+* journals every final outcome to its **own per-shard journal**
+  (``<base>.shardK``, the same append-only fsync'd format) *before* it
+  acknowledges the outcome,
+* rewrites a **heartbeat lease** (``<base>.shardK.lease``) every
+  ``heartbeat_s`` seconds (see :mod:`repro.runner.telemetry`), and
+* takes tasks from its **home queue** — the task fingerprint's
+  :func:`shard_of` — with up to ``_WINDOW`` in flight; a shard whose
+  queue runs dry **steals** from the tail of the most-backlogged live
+  shard, so a straggler slows nothing but itself.
 
-The supervisor declares a shard **dead** when its process exits or its
-lease goes stale (``lease_ttl``) — the lease catches the "partitioned
-but alive" case where the process is unreachable yet still running —
+The supervisor declares a shard **dead** when its process exits, its
+pipe closes, its lease goes stale (``lease_ttl`` — the "partitioned
+but alive" case) or its running task overruns ``task_deadline``. It
 then harvests the dead shard's journal read-only
-(:meth:`~repro.runner.Journal.load`), marks everything it had already
-journaled as done, and **requeues** the genuinely incomplete
-fingerprints onto the surviving shards. Because a shard can die
-*after* journaling a task but *before* acknowledging it, a requeued
-fingerprint may execute twice; per-shard journals merge with last-wins
-dedup (:func:`repro.runner.journal.merge_journals`), so double
-execution is harmless **by construction** — no lost tasks, no
-duplicated results.
-
-**Work-stealing** falls out of the same machinery: dispatch is
-windowed (at most ``window`` tasks in flight per shard), so a shard
-that drains its home queue steals from the tail of the most-backlogged
-live shard — a straggler shard slows nothing but itself.
+(:meth:`~repro.runner.Journal.load`): whatever the shard journaled is
+done, even if never acknowledged. Its other in-flight and queued
+tasks are **requeued** onto the survivors (a fingerprint requeued more
+than ``_MAX_REQUEUES`` times is finished in-process instead of
+poisoning the fleet). Dead shards are not replaced; with none left the
+campaign finishes in-process. Because a shard can die *after*
+journaling a task but *before* acknowledging it, a fingerprint may
+execute twice; per-shard journals merge last-wins
+(:func:`repro.runner.journal.merge_journals`), so double execution is
+harmless by construction — no lost tasks, no duplicated results.
 
 On completion the per-shard journals are merged and absorbed **byte
 for byte** into the campaign's main journal, whose sorted-line SHA-256
 digest (:func:`repro.runner.journal.journal_digest`) is therefore
 invariant to shard count, shard deaths and steal order for
-deterministic task payloads — the same guarantee ``--resume`` replay
-already gives, lifted to the multi-shard case. If every shard dies,
-the supervisor degrades to in-process execution of the remainder, the
-same last-resort the process pool has.
+deterministic task payloads. Shard journals left by a crashed earlier
+run are absorbed before replay, so their tasks are not re-run.
 
 Shard-level fault injection lives in
 :class:`repro.runner.chaos.ShardChaosPolicy`; live progress rendering
@@ -48,24 +46,26 @@ in :mod:`repro.runner.telemetry` (``--watch``).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
+import re
+import sys
 import tempfile
 import threading
 import time
 from collections import deque
-from multiprocessing.connection import wait as _wait_ready
 
 from .core import (
     CampaignStats,
-    RetryPolicy,
-    TransientTaskError,
-    _exc_message,
+    _journal_outcome,
+    _Pool,
     _resolve_retry,
+    _Run,
     run_tasks,
 )
-from .journal import Journal, merge_journals, task_fingerprint, _parse_line
+from .journal import Journal, merge_journals, task_fingerprint
 from .telemetry import (
     lease_path,
     read_lease,
@@ -74,12 +74,15 @@ from .telemetry import (
     shard_journal_path,
     write_lease,
 )
-from .timing import TaskTiming
 
 __all__ = ["run_sharded", "resolve_shards", "shard_of"]
 
-#: Seconds between supervisor scheduling/liveness passes.
-_POLL_INTERVAL = 0.05
+#: Tasks in flight per shard (dispatch is windowed so steals can happen).
+_WINDOW = 2
+#: Requeues of one fingerprint before it is finished in-process.
+_MAX_REQUEUES = 3
+#: Seconds between ``watch`` dashboard renders.
+_WATCH_INTERVAL = 2.0
 
 
 def resolve_shards(shards: int | None) -> int:
@@ -116,7 +119,7 @@ def shard_of(fingerprint: str, shards: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Shard-runner side (runs in the spawned subprocess)
+# Worker side (runs in the shard process)
 # ----------------------------------------------------------------------
 
 class _Heartbeat:
@@ -185,41 +188,6 @@ class _Heartbeat:
         self.write()
 
 
-def _execute(task, policy: RetryPolicy, token):
-    """One task with local policy retries. Returns
-    ``(status, result, wall_s, attempts, error)``."""
-    attempts = 0
-    wall = 0.0
-    while True:
-        attempts += 1
-        try:
-            task.on_attempt(attempts)
-        except Exception:
-            pass
-        start = time.perf_counter()
-        try:
-            result = task.run()
-        except TransientTaskError as exc:
-            wall += time.perf_counter() - start
-            if attempts <= policy.retries:
-                time.sleep(policy.delay(attempts, token))
-                continue
-            message = _exc_message(exc)
-            return (
-                "error", task.on_error(message), wall, attempts,
-                {"exc": message, "transient": True},
-            )
-        except Exception as exc:
-            wall += time.perf_counter() - start
-            message = _exc_message(exc)
-            return (
-                "error", task.on_error(message), wall, attempts,
-                {"exc": message, "transient": False},
-            )
-        wall += time.perf_counter() - start
-        return "ok", result, wall, attempts, None
-
-
 def _tear_tail(journal: Journal, fingerprint: str, kind: str) -> None:
     """Leave a torn (newline-less) trailing record — what a crash in
     the middle of :meth:`Journal.record` leaves behind."""
@@ -229,653 +197,221 @@ def _tear_tail(journal: Journal, fingerprint: str, kind: str) -> None:
     journal._write(line[: max(4, len(line) // 2)].encode("utf-8"))
 
 
-def _timing_detail(task, status, result) -> dict:
-    if status not in ("ok", "fallback"):
-        return {}
-    try:
-        return dict(task.timing_detail(result) or {})
-    except Exception:
-        return {}
+class _ShardWorker:
+    """A shard's worker-side policy: the hooks
+    :func:`repro.runner.core._worker_main` calls around each attempt.
 
-
-def _shard_main(
-    conn, shard, journal_path, lease_file, heartbeat_s, retry, chaos
-):
-    """Shard-runner process: execute dispatched tasks sequentially,
-    journal locally, heartbeat, acknowledge.
-
-    Protocol (supervisor -> shard): ``("task", index, task, flags)``
-    dispatches one task (``flags`` marks steals/requeues for the
-    lease counters); ``None`` shuts the shard down.
-    Protocol (shard -> supervisor):
-    ``(index, kind, fingerprint, status, wall_s, attempts, detail,
-    error)`` with ``kind`` ``"done"`` (executed) or ``"replayed"``
-    (already in this shard's journal — a resumed campaign).
-
-    The journal write happens *before* the acknowledgement, so the set
-    of journaled fingerprints is always a superset of the acknowledged
-    ones — a shard that dies in between leaves a completed-but-unacked
-    task the supervisor will requeue, and last-wins merge absorbs the
-    double execution.
+    Keeps the per-shard journal (written before every acknowledgement,
+    so the journaled fingerprints are always a superset of the
+    acknowledged ones), the heartbeat lease, and the
+    :class:`~repro.runner.ShardChaosPolicy` faults.
     """
-    policy = _resolve_retry(retry)
-    journal = Journal(journal_path, resume=True)
-    beat = _Heartbeat(lease_file, shard, heartbeat_s)
-    beat.start()
-    accepted = 0
-    straggler = (
-        chaos is not None
-        and chaos.straggler_shard == shard
-        and chaos.straggler_delay_s > 0.0
-    )
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if message is None:
-                break
-            _tag, index, task, flags = message
-            accepted += 1
-            beat.bump(
-                assigned=1,
-                stolen=1 if flags.get("stolen") else 0,
-                requeued=1 if flags.get("requeued") else 0,
+
+    def __init__(self, slot, journal_path, lease_file, heartbeat_s, chaos):
+        self.slot = slot
+        self.journal_path = journal_path
+        self.lease_file = lease_file
+        self.heartbeat_s = heartbeat_s
+        self.chaos = chaos
+        self.accepted = 0
+        self.kill_now = False
+
+    def start(self):
+        self.journal = Journal(self.journal_path, resume=True)
+        self.beat = _Heartbeat(self.lease_file, self.slot, self.heartbeat_s)
+        self.beat.start()
+
+    def accept(self, task, note):
+        chaos = self.chaos
+        self.accepted += 1
+        self.beat.bump(
+            assigned=1,
+            stolen=int(note == "stolen"),
+            requeued=int(note == "requeued"),
+        )
+        self.kill_now = (
+            chaos is not None
+            and chaos.kill_shard == self.slot
+            and self.accepted == chaos.kill_after
+        )
+        if chaos is not None and chaos.straggler_shard == self.slot:
+            time.sleep(chaos.straggler_delay_s)
+        if self.kill_now and chaos.kill_mode == "torn":
+            # Crash mid-write: torn trailing line, then die.
+            _tear_tail(
+                self.journal, task_fingerprint(task), type(task).__name__
             )
-            kill_now = (
-                chaos is not None
-                and chaos.kill_shard == shard
-                and accepted == chaos.kill_after
-            )
-            if straggler:
-                time.sleep(chaos.straggler_delay_s)
-            fingerprint = task_fingerprint(task)
-            kind = type(task).__name__
-            entry = journal.get(fingerprint)
-            if entry is not None:
-                reply = (
-                    index, "replayed", fingerprint, entry.status,
-                    0.0, entry.attempts, {}, entry.error,
-                )
-            else:
-                if kill_now and chaos.kill_mode == "torn":
-                    # Crash mid-write: torn trailing line, then die.
-                    _tear_tail(journal, fingerprint, kind)
-                    os._exit(31)
-                beat.update(current_started=time.time())
-                beat.write()
-                status, result, wall, attempts, error = _execute(
-                    task, policy, fingerprint
-                )
-                detail = _timing_detail(task, status, result)
-                journal_error = False
-                try:
-                    if task.corrupt_journal_record():
-                        journal.record_corrupt(fingerprint, kind)
-                    else:
-                        journal.record(
-                            fingerprint, kind, status, result,
-                            attempts=attempts, error=error,
-                        )
-                except Exception:
-                    journal_error = True
-                if kill_now:
-                    # Journaled but never acknowledged: the supervisor
-                    # requeues this fingerprint and the merge dedups it.
-                    os._exit(31)
-                beat.bump(done=1, retried=1 if attempts > 1 else 0)
-                beat.update(current_started=None)
-                if journal_error:
-                    error = dict(error or {}, journal_error=True)
-                reply = (
-                    index, "done", fingerprint, status,
-                    wall, attempts, detail, error,
-                )
-            if (
-                chaos is not None
-                and chaos.freeze_shard == shard
-                and accepted >= max(1, chaos.freeze_after)
-            ):
-                beat.freeze()
-            beat.write()
+            os._exit(31)
+        self.beat.update(current_started=time.time())
+        self.beat.write()
+
+    def settle(self, task, attempt, status, result, error):
+        """Journal a final outcome; returns the error record to send."""
+        if status != "retry":
             try:
-                conn.send(reply)
-            except (BrokenPipeError, OSError):
-                break
+                _journal_outcome(
+                    self.journal, task, task_fingerprint(task), status,
+                    result, attempt, error,
+                )
             except Exception:
-                # Unpicklable detail payload: degrade, stay alive.
-                try:
-                    conn.send(
-                        (index, reply[1], fingerprint, reply[3],
-                         reply[4], reply[5], {}, reply[7])
-                    )
-                except Exception:
-                    break
-    finally:
-        beat.stop(state="done")
-        journal.close()
-        try:
-            conn.close()
-        except OSError:
-            pass
+                error = dict(error or {}, journal_error=True)
+            self.beat.bump(done=1, retried=int(attempt > 1))
+        if self.kill_now:
+            # Journaled but never acknowledged: the supervisor harvests
+            # this fingerprint and the merge dedups any re-run.
+            os._exit(31)
+        self.beat.update(current_started=None)
+        chaos = self.chaos
+        if (
+            chaos is not None
+            and chaos.freeze_shard == self.slot
+            and self.accepted >= max(1, chaos.freeze_after)
+        ):
+            self.beat.freeze()
+        self.beat.write()
+        return error
+
+    def stop(self):
+        self.beat.stop(state="done")
+        self.journal.close()
 
 
 # ----------------------------------------------------------------------
 # Supervisor side
 # ----------------------------------------------------------------------
 
-class _Shard:
-    """Supervisor-side view of one shard runner."""
+class _ShardPool(_Pool):
+    """The shard policy on the runner's supervisor loop."""
 
-    __slots__ = (
-        "index", "process", "conn", "journal_path", "lease_file",
-        "queue", "inflight", "alive", "spawned_at",
-    )
+    window = _WINDOW
+    respawn = False  # a lost shard's work moves to the survivors
+    charge_deaths = False  # a shard death may predate the task's start
+    max_requeues = _MAX_REQUEUES
+    worker_journals = True
 
-    def __init__(self, index, process, conn, journal_path, lease_file):
-        self.index = index
-        self.process = process
-        self.conn = conn
-        self.journal_path = journal_path
-        self.lease_file = lease_file
-        self.queue: deque = deque()  # undispatched home-task indices
-        self.inflight: dict = {}  # index -> dispatch epoch
-        self.alive = process is not None
-        self.spawned_at = time.time()
-
-    def stop(self):
-        if self.process is None:
-            return
-        try:
-            if self.process.is_alive():
-                self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=2.0)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
-class _Supervisor:
-    """One sharded campaign: dispatch, liveness, steal, merge."""
-
-    def __init__(
-        self, tasks, shards, journal, retry, stats, collect,
-        task_deadline, heartbeat_s, lease_ttl, window, chaos,
-        watch, watch_interval, max_requeues,
-    ):
-        self.tasks = tasks
-        self.n = shards
-        self.journal = journal  # the main Journal (never None here)
-        self.policy = _resolve_retry(retry)
-        self.stats = stats
-        self.collect = collect
-        self.task_deadline = task_deadline
+    def __init__(self, run, deadline, count, base, heartbeat_s, lease_ttl,
+                 chaos, watch):
+        super().__init__(run, deadline, count)
+        self.base = base
         self.heartbeat_s = heartbeat_s
         self.lease_ttl = lease_ttl
-        self.window = window
         self.chaos = chaos
         self.watch = watch
-        self.watch_interval = watch_interval
-        self.max_requeues = max_requeues
+        self.queues = {slot: deque() for slot in range(count)}
+        self.began = time.time()
+        self.last_watch = 0.0
 
-        self.base = self.journal.path
-        self.fingerprints = [task_fingerprint(t) for t in tasks]
-        self.done: dict[int, str] = {}  # index -> fingerprint
-        self.requeue_counts: dict[int, int] = {}
-        self.shards: list[_Shard] = []
-        self.local_journal: Journal | None = None
-        self.started = time.time()
-        self._last_watch = 0.0
-
-    # -- lifecycle ----------------------------------------------------
-
-    def run(self) -> list:
-        self.stats.total += len(self.tasks)
-        self._premerge_leftovers()
-        todo = self._replay()
-        if todo:
-            self._spawn(min(self.n, len(todo)) or 1)
-            self._partition(todo)
-            self._loop()
-        self._shutdown()
-        self._absorb()
-        results = self._results()
-        self._cleanup()
-        return results
-
-    def _premerge_leftovers(self):
-        """Fold shard/local journals left by a crashed prior run into
-        the main journal, so supervisor replay sees them."""
-        leftovers = self._shard_files()
-        if not leftovers:
-            return
-        for fingerprint, raw in merge_journals(leftovers).items():
-            if fingerprint not in self.journal:
-                self.journal.absorb_line(raw)
-
-    def _shard_files(self) -> list[pathlib.Path]:
-        pattern = self.base.name + ".shard*"
-        files = [
-            p for p in self.base.parent.glob(pattern)
-            if not p.name.endswith(".lease")
-            and ".lease.tmp" not in p.name
-            and ".tmp" not in p.suffix
-        ]
-        local = self.base.with_name(self.base.name + ".local")
-        if local.exists():
-            files.append(local)
-        return files
-
-    def _replay(self) -> list[int]:
-        todo = []
-        for index, task in enumerate(self.tasks):
-            entry = self.journal.get(self.fingerprints[index])
-            if entry is None:
-                todo.append(index)
-                continue
-            self.done[index] = self.fingerprints[index]
-            self.stats.replayed += 1
-            self._emit(
-                task, "replayed", 0.0, "journal",
-                attempts=0, error=entry.error, entry=entry,
-            )
-        return todo
-
-    def _spawn(self, count):
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = multiprocessing.get_context()
-        for shard in range(count):
-            journal_path = shard_journal_path(self.base, shard)
-            lease_file = lease_path(self.base, shard)
-            try:
-                parent_end, child_end = context.Pipe(duplex=True)
-                process = context.Process(
-                    target=_shard_main,
-                    args=(
-                        child_end, shard, str(journal_path),
-                        str(lease_file), self.heartbeat_s,
-                        self.policy, self.chaos,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                child_end.close()
-            except (OSError, ValueError):
-                self.shards.append(
-                    _Shard(shard, None, None, journal_path, lease_file)
-                )
-                continue
-            self.shards.append(
-                _Shard(shard, process, parent_end, journal_path, lease_file)
-            )
-
-    def _partition(self, todo):
-        live = [s for s in self.shards if s.alive]
-        for index in todo:
-            home = self.shards[shard_of(self.fingerprints[index], self.n)]
-            if not home.alive:
-                home = (
-                    live[shard_of(self.fingerprints[index], len(live))]
-                    if live else home
-                )
-            home.queue.append(index)
-
-    # -- main loop ----------------------------------------------------
-
-    def _incomplete(self) -> bool:
-        return len(self.done) < len(self.tasks)
-
-    def _loop(self):
-        while self._incomplete():
-            live = [s for s in self.shards if s.alive]
-            if not live:
-                self._run_rest_locally()
-                return
-            self._dispatch(live)
-            self._collect_acks(live)
-            self._check_liveness()
-            self._maybe_watch()
-
-    def _dispatch(self, live):
-        for shard in live:
-            while len(shard.inflight) < self.window:
-                index, flags = self._next_for(shard, live)
-                if index is None:
-                    break
-                try:
-                    shard.conn.send(
-                        ("task", index, self.tasks[index], flags)
-                    )
-                except Exception:
-                    shard.queue.appendleft(index)
-                    self._declare_dead(shard, "send failed")
-                    break
-                shard.inflight[index] = time.time()
-
-    def _next_for(self, shard, live):
-        """The next index for ``shard``: its own queue, else a steal
-        from the tail of the most-backlogged other live shard."""
-        while shard.queue:
-            index = shard.queue.popleft()
-            if index not in self.done:
-                return index, {}
-        victim = None
-        for other in live:
-            if other is shard or not other.queue:
-                continue
-            if victim is None or len(other.queue) > len(victim.queue):
-                victim = other
-        while victim is not None and victim.queue:
-            index = victim.queue.pop()  # steal from the cold tail
-            if index not in self.done:
-                self.stats.stolen_tasks += 1
-                return index, {"stolen": True}
-        return None, {}
-
-    def _collect_acks(self, live):
-        busy = [s for s in live if s.inflight]
-        if not busy:
-            time.sleep(_POLL_INTERVAL / 5)
-            return
-        ready = _wait_ready(
-            [s.conn for s in busy], timeout=_POLL_INTERVAL
-        )
-        for shard in busy:
-            if shard.conn not in ready:
-                continue
-            while True:
-                try:
-                    if not shard.conn.poll():
-                        break
-                    reply = shard.conn.recv()
-                except (EOFError, OSError):
-                    break
-                self._ack(shard, reply)
-
-    def _ack(self, shard, reply):
-        (index, kind, fingerprint, status, wall, attempts, detail,
-         error) = reply
-        shard.inflight.pop(index, None)
-        if index in self.done:
-            return  # double execution after a requeue: merge dedups it
-        self.done[index] = fingerprint
-        worker = f"shard{shard.index}:{shard.process.pid}"
-        if kind == "replayed":
-            self.stats.replayed += 1
-            self._emit(
-                self.tasks[index], "replayed", 0.0, worker,
-                attempts=0, error=error,
-            )
-            return
-        self.stats.executed += 1
-        local_retries = max(0, attempts - 1)
-        if local_retries:
-            self.stats.retried_tasks += 1
-            self.stats.retry_attempts += local_retries
-        if status == "error":
-            self.stats.errors += 1
-        elif status == "timeout":
-            self.stats.timeouts += 1
-        if detail.get("degraded"):
-            self.stats.degraded += 1
-        if (error or {}).get("journal_error"):
-            self.stats.journal_errors += 1
-        self._emit(
-            self.tasks[index], status, wall, worker,
-            attempts=attempts, error=error, detail=detail,
-            requeues=self.requeue_counts.get(index, 0),
+    def _hooks(self, slot):
+        return _ShardWorker(
+            slot, str(shard_journal_path(self.base, slot)),
+            str(lease_path(self.base, slot)), self.heartbeat_s, self.chaos,
         )
 
-    # -- liveness and requeue -----------------------------------------
+    def _name(self, worker) -> str:
+        return f"shard{worker.slot}:{worker.process.pid}"
 
-    def _check_liveness(self):
-        now = time.time()
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            reason = None
-            if not shard.process.is_alive():
-                reason = "process exited"
-            else:
-                lease = read_lease(shard.lease_file)
-                if lease is None:
-                    if now - shard.spawned_at > 2 * self.lease_ttl:
-                        reason = "no lease"
-                elif now - float(lease["ts"]) > self.lease_ttl:
-                    reason = "lease expired"
-                elif (
-                    self.task_deadline is not None
-                    and lease.get("current_started") is not None
-                    and now - float(lease["current_started"])
-                    > self.task_deadline
-                ):
-                    reason = "task deadline exceeded"
-            if reason is not None:
-                self._declare_dead(shard, reason)
+    def _enqueue(self, index):
+        """Home queue of the fingerprint, re-hashed over the live shards
+        when the home shard is gone."""
+        fingerprint = self.run.fingerprints[index]
+        home = shard_of(fingerprint, self.count)
+        live = sorted(worker.slot for worker in self.workers)
+        if live and home not in live:
+            home = live[shard_of(fingerprint, len(live))]
+        self.queues[home].append(index)
 
-    def _declare_dead(self, shard, reason):
-        """Kill, harvest the journal, requeue incomplete fingerprints."""
-        shard.alive = False
-        if shard.process is not None:
-            if shard.process.is_alive():
-                shard.process.terminate()
-                shard.process.join(timeout=2.0)
-            if shard.process.is_alive():
-                shard.process.kill()
-                shard.process.join(timeout=2.0)
-            try:
-                shard.conn.close()
-            except OSError:
-                pass
-        # Harvest: anything the dead shard journaled is done, even if
-        # the acknowledgement never arrived.
-        harvested = (
-            Journal.load(shard.journal_path)
-            if shard.journal_path.exists() else None
+    def _queued(self):
+        return any(self.queues.values())
+
+    def _next(self, worker):
+        """The worker's own queue, else a steal from the cold tail of
+        the most-backlogged other live shard."""
+        run = self.run
+        queue = self.queues[worker.slot]
+        while queue:
+            index = queue.popleft()
+            if not run.done[index]:
+                return index, "requeued" if run.requeues[index] else None
+        victim = max(
+            (self.queues[other.slot] for other in self.workers
+             if other is not worker),
+            key=len, default=None,
         )
-        incomplete = []
-        for index in list(shard.inflight):
-            shard.inflight.pop(index)
-            if index in self.done:
-                continue
-            fingerprint = self.fingerprints[index]
-            entry = (
-                harvested.get(fingerprint) if harvested is not None
-                else None
-            )
+        while victim:
+            index = victim.pop()
+            if not run.done[index]:
+                run.stats.stolen_tasks += 1
+                return index, "stolen"
+        return None, None
+
+    def _dead_reason(self, worker, now):
+        reason = super()._dead_reason(worker, now)
+        if reason is not None:
+            return reason
+        lease = read_lease(lease_path(self.base, worker.slot))
+        wall = time.time()
+        if lease is None:
+            if wall - worker.spawned > 2 * self.lease_ttl:
+                return "no lease"
+        elif wall - float(lease["ts"]) > self.lease_ttl:
+            return "lease expired"
+        return None
+
+    def _harvest(self, worker):
+        """Anything the dead shard journaled is done, acknowledged or
+        not."""
+        journal = Journal.load(shard_journal_path(self.base, worker.slot))
+        run = self.run
+        for index in list(worker.inflight):
+            entry = journal.get(run.fingerprints[index])
             if entry is not None:
-                self.done[index] = fingerprint
-                self.stats.executed += 1
-                if entry.status == "error":
-                    self.stats.errors += 1
-                elif entry.status == "timeout":
-                    self.stats.timeouts += 1
-                self._emit(
-                    self.tasks[index], entry.status, 0.0,
-                    f"shard{shard.index}", attempts=entry.attempts,
-                    error=entry.error, entry=entry,
+                worker.inflight.remove(index)
+                run.finish(
+                    index, entry.status, entry.result,
+                    f"shard{worker.slot}", entry.error, journaled=True,
                 )
-            else:
-                incomplete.append(index)
-        live = [s for s in self.shards if s.alive]
-        backlog = list(shard.queue)
-        shard.queue.clear()
-        for position, index in enumerate(incomplete):
-            count = self.requeue_counts.get(index, 0) + 1
-            self.requeue_counts[index] = count
-            if count > self.max_requeues:
-                # A task that kills every shard it lands on: finish it
-                # locally (once) instead of poisoning the fleet.
-                self._finish_locally(
-                    index, f"shard requeue limit ({reason})"
-                )
-                continue
-            self.stats.requeued_tasks += 1
-            self.stats.requeue_attempts += 1
-            if live:
-                live[position % len(live)].queue.append(index)
-        if live:
-            for position, index in enumerate(backlog):
-                if index not in self.done:
-                    live[position % len(live)].queue.append(index)
-        # With no survivors the backlog and requeues fall through to
-        # the main loop's in-process last resort (_run_rest_locally).
 
-    def _finish_locally(self, index, reason):
-        task = self.tasks[index]
-        status, result, wall, attempts, error = _execute(
-            task, self.policy, self.fingerprints[index]
-        )
-        self._journal_locally(index, status, result, attempts, error)
-        self.done[index] = self.fingerprints[index]
-        self.stats.executed += 1
-        if status == "error":
-            self.stats.errors += 1
-        self._emit(
-            task, status, wall, "local", attempts=attempts, error=error,
-            detail=_timing_detail(task, status, result),
-            requeues=self.requeue_counts.get(index, 0),
-        )
+    def _abandon(self, worker):
+        queue = self.queues[worker.slot]
+        backlog = list(queue)
+        queue.clear()
+        for index in backlog:
+            if not self.run.done[index]:
+                self._enqueue(index)
 
-    def _journal_locally(self, index, status, result, attempts, error):
-        if self.local_journal is None:
-            self.local_journal = Journal(
-                self.base.with_name(self.base.name + ".local"),
-                resume=True,
-            )
-        try:
-            self.local_journal.record(
-                self.fingerprints[index], type(self.tasks[index]).__name__,
-                status, result, attempts=attempts, error=error,
-            )
-        except Exception:
-            self.stats.journal_errors += 1
-
-    def _run_rest_locally(self):
-        """Every shard is gone: degrade to in-process execution."""
-        for index in range(len(self.tasks)):
-            if index not in self.done:
-                self._finish_locally(index, "all shards dead")
-
-    # -- progress -----------------------------------------------------
-
-    def _maybe_watch(self):
+    def _tick(self):
         if not self.watch:
             return
         now = time.time()
-        if now - self._last_watch < self.watch_interval:
+        if now - self.last_watch < _WATCH_INTERVAL:
             return
-        self._last_watch = now
+        self.last_watch = now
         text = render_dashboard(
-            scan_campaign(self.base, shards=len(self.shards), now=now),
-            total=len(self.tasks) - self.stats.replayed,
-            elapsed_s=now - self.started,
+            scan_campaign(self.base, shards=self.count, now=now),
+            total=len(self.run.tasks) - self.run.stats.replayed,
+            elapsed_s=now - self.began,
             lease_ttl=self.lease_ttl,
         )
         if callable(self.watch):
             self.watch(text)
         else:
-            import sys
-
             print(text, file=sys.stderr, flush=True)
 
-    def _emit(
-        self, task, status, wall, worker, attempts, error,
-        detail=None, requeues=0, entry=None,
-    ):
-        if self.collect is None:
-            return
-        if detail is None:
-            detail = (
-                _timing_detail(task, status, entry.result)
-                if entry is not None else {}
-            )
-        self.collect.record(
-            TaskTiming(
-                key=task.key(), status=status, wall_s=wall,
-                worker=str(worker), detail=detail,
-                attempts=attempts, error=error, requeues=requeues,
-            )
-        )
 
-    # -- merge and teardown -------------------------------------------
+def _shard_journals(base: pathlib.Path) -> list[pathlib.Path]:
+    return [
+        path for path in base.parent.glob(base.name + ".shard*")
+        if re.fullmatch(r"\.shard\d+", path.suffix)
+    ]
 
-    def _shutdown(self):
-        for shard in self.shards:
-            if shard.alive:
-                shard.stop()
-                shard.alive = False
 
-    def _absorb(self):
-        for fingerprint, raw in sorted(
-            merge_journals(self._shard_files()).items()
-        ):
-            if fingerprint not in self.journal:
-                self.journal.absorb_line(raw)
-
-    def _results(self) -> list:
-        results = []
-        for index, task in enumerate(self.tasks):
-            entry = self.journal.get(self.fingerprints[index])
-            if entry is None:
-                # Hole of last resort (e.g. chaos tore the only record
-                # of this task): run it here, then it is journaled.
-                status, result, wall, attempts, error = _execute(
-                    task, self.policy, self.fingerprints[index]
-                )
-                if index not in self.done:
-                    self.stats.executed += 1
-                    if status == "error":
-                        self.stats.errors += 1
-                self.done[index] = self.fingerprints[index]
-                self._emit(
-                    task, status, wall, "local", attempts=attempts,
-                    error=error,
-                    detail=_timing_detail(task, status, result),
-                )
-                try:
-                    self.journal.record(
-                        self.fingerprints[index], type(task).__name__,
-                        status, result, attempts=attempts, error=error,
-                    )
-                except Exception:
-                    self.stats.journal_errors += 1
-                results.append(result)
-                continue
-            results.append(entry.result)
-        return results
-
-    def _cleanup(self):
-        if self.local_journal is not None:
-            self.local_journal.close()
-        # Everything is absorbed into the fsync'd main journal; the
-        # per-shard files are redundant now, and leaving them would
-        # leak stale results into a later resume=False campaign at the
-        # same path.
-        for path in self._shard_files():
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        for shard in self.shards:
-            try:
-                shard.lease_file.unlink()
-            except OSError:
-                pass
+def _absorb(journal: Journal) -> None:
+    """Fold every per-shard journal next to ``journal`` into it, byte for
+    byte, skipping fingerprints it already holds."""
+    merged = merge_journals(_shard_journals(journal.path))
+    for fingerprint, raw in sorted(merged.items()):
+        if fingerprint not in journal:
+            journal.absorb_line(raw)
 
 
 def run_sharded(
@@ -888,11 +424,8 @@ def run_sharded(
     task_deadline: float | None = None,
     heartbeat_s: float = 0.5,
     lease_ttl: float = 10.0,
-    window: int = 2,
     chaos=None,
     watch=None,
-    watch_interval: float = 2.0,
-    max_requeues: int = 3,
     jobs: int | None = 1,
 ) -> list:
     """Run a campaign across fault-tolerant shards; results in
@@ -909,48 +442,46 @@ def run_sharded(
     into it — byte for byte — when the campaign completes. ``chaos``
     is a :class:`~repro.runner.ShardChaosPolicy`; ``watch`` enables
     the live dashboard (``True`` = stderr, or a callable receiving the
-    rendered text every ``watch_interval`` seconds). ``task_deadline``
-    arms the supervisor's per-task kill: a shard whose lease shows one
-    task in flight longer than the deadline is declared dead and its
-    work requeued. A fingerprint requeued more than ``max_requeues``
-    times is finished in-process instead of poisoning the fleet.
+    rendered text). ``task_deadline`` arms the per-task kill: the shard
+    running an overdue task is declared dead and the task is retried
+    under ``retry`` or recorded as a timeout.
     """
     tasks = list(tasks)
     if stats is None:
         stats = CampaignStats()
     count = resolve_shards(shards)
-    if count <= 1 or len(tasks) <= 1:
-        opened = None
+    with contextlib.ExitStack() as stack:
         if journal is not None and not isinstance(journal, Journal):
-            journal = opened = Journal(journal, resume=True)
-        try:
+            journal = stack.enter_context(Journal(journal, resume=True))
+        if count <= 1 or len(tasks) <= 1:
             return run_tasks(
                 tasks, jobs=jobs, task_deadline=task_deadline,
                 collect=collect, journal=journal, retry=retry, stats=stats,
             )
-        finally:
-            if opened is not None:
-                opened.close()
-    tempdir = None
-    own_journal = False
-    if journal is None:
-        tempdir = tempfile.TemporaryDirectory(prefix="repro-shard-")
-        journal = Journal(
-            pathlib.Path(tempdir.name) / "campaign.jsonl", fsync=False
-        )
-        own_journal = True
-    elif not isinstance(journal, Journal):
-        journal = Journal(journal, resume=True)
-        own_journal = True
-    try:
-        supervisor = _Supervisor(
-            tasks, count, journal, retry, stats, collect,
-            task_deadline, heartbeat_s, lease_ttl, max(1, window), chaos,
-            watch, watch_interval, max_requeues,
-        )
-        return supervisor.run()
-    finally:
-        if own_journal:
-            journal.close()
-        if tempdir is not None:
-            tempdir.cleanup()
+        if journal is None:
+            tempdir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-shard-")
+            )
+            journal = stack.enter_context(Journal(
+                pathlib.Path(tempdir) / "campaign.jsonl", fsync=False
+            ))
+        _absorb(journal)  # leftovers of a crashed earlier run
+        stats.total += len(tasks)
+        run = _Run(tasks, collect, journal, _resolve_retry(retry), stats)
+        todo = run.replay()
+        if todo:
+            _ShardPool(
+                run, task_deadline, min(count, len(todo)), journal.path,
+                heartbeat_s, lease_ttl, chaos, watch,
+            ).supervise(todo)
+        run.finish_locally()
+        _absorb(journal)
+        # Everything is in the fsync'd main journal now; stale shard
+        # files would leak into a later resume=False campaign here.
+        base = journal.path
+        for path in _shard_journals(base) + list(
+            base.parent.glob(base.name + ".shard*.lease")
+        ):
+            with contextlib.suppress(OSError):
+                path.unlink()
+        return run.results

@@ -30,7 +30,6 @@ from .solve import (
     BACKENDS,
     LmiSolution,
     best_alpha,
-    prewarm_solver,
     solve_lyapunov_lmi,
 )
 from .svec import basis_matrix, basis_tensor, smat, svec, svec_basis, svec_dim
@@ -41,7 +40,6 @@ __all__ = [
     "LmiSolution",
     "solve_lyapunov_lmi",
     "best_alpha",
-    "prewarm_solver",
     "BACKENDS",
     "solve_ipm",
     "solve_shift",

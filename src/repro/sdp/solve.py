@@ -39,7 +39,6 @@ __all__ = [
     "LmiSolution",
     "solve_lyapunov_lmi",
     "best_alpha",
-    "prewarm_solver",
     "BACKENDS",
 ]
 
@@ -93,31 +92,6 @@ def solve_lyapunov_lmi(
     return LmiSolution(
         p=p, backend=backend, iterations=info.get("iterations", 0), info=info
     )
-
-
-def prewarm_solver(n: int, alpha: float = 0.0) -> dict:
-    """Populate the per-process caches that dominate cold-solve latency.
-
-    Warms, for size ``n``: the svec basis tensor
-    (:func:`repro.sdp.svec.basis_tensor`), the memoized Lyapunov
-    coefficient tensor for the stable probe matrix ``-I`` (the key a
-    backend's KKT assembly hits first), and — by screening the probe's
-    analytic solution ``P = I`` — the one-off LAPACK/gufunc dispatch
-    cost of the batched candidate screen. Idempotent and cheap once
-    warm; the certification service's :class:`repro.service.WarmupTask`
-    runs it in every fresh worker before the worker takes requests.
-
-    Returns a small summary dict (``n``, ``svec_dim``, and the probe's
-    ``(floor, decay)`` screen margins) so warm-up can be sanity-checked.
-    """
-    from .problems import screen_candidates
-    from .svec import basis_tensor
-
-    basis = basis_tensor(n)
-    probe = LyapunovLmiProblem(a=-np.eye(n), alpha=float(alpha))
-    probe.lyap_basis_tensor()
-    [margins] = screen_candidates([(probe, np.eye(n))])
-    return {"n": n, "svec_dim": basis.shape[0], "screen": margins}
 
 
 def best_alpha(

@@ -1,30 +1,26 @@
 """Certification-as-a-service on top of the experiment machinery.
 
 The paper's workflow is one-shot: every switched PI loop pays full
-synthesis+validation cost from scratch. This package turns the
-reproduction into a serving layer — the workload shape of certifying
-fleets of gain-scheduled controllers across operating envelopes —
-with three performance layers:
+synthesis+validation cost from scratch. This package serves
+certification requests — the workload shape of certifying fleets of
+gain-scheduled controllers across operating envelopes — with two
+performance layers:
 
 * :mod:`repro.service.store` — a content-addressed certificate cache
   keyed by the journal's salted task fingerprints (LRU memory tier
-  over the journal's own on-disk format);
+  over the journal's own on-disk format). It carries the measured
+  warm-over-cold speedup: a repeat request is one fingerprint plus one
+  lookup;
 * :mod:`repro.service.api` — the ``certify`` request API with
   single-flight dedup (identical in-flight requests coalesce to one
   computation and one journal entry) and same-shape batching (pending
-  candidate screens share one compiled batched-eigh/Cholesky pass);
-* :mod:`repro.service.pool` — a persistent warm-worker pool reusing
-  the runner's worker protocol, with per-request deadlines and
-  retry-on-fresh-worker; :mod:`repro.service.aio` adds the asyncio
-  front (submission queue, backpressure).
+  candidate screens share one compiled batched-eigh/Cholesky pass).
 
 :mod:`repro.service.engine` holds the generic
-:class:`~repro.service.engine.CampaignEngine` the four experiment
-drivers now run through — the service and the drivers share one
-execution path.
+:class:`~repro.service.engine.CampaignEngine` every experiment driver
+runs its task grid through.
 """
 
-from .aio import AsyncCertificationService
 from .api import (
     Certificate,
     CertificationService,
@@ -33,20 +29,14 @@ from .api import (
     certify,
 )
 from .engine import CampaignEngine
-from .pool import PoolDeadlineError, PoolOutcome, WarmPool, WarmupTask
 from .store import CertificateStore
 
 __all__ = [
     "Certificate",
     "CertificationService",
-    "AsyncCertificationService",
     "CertifyTask",
     "CertifyBatchTask",
     "certify",
     "CertificateStore",
     "CampaignEngine",
-    "WarmPool",
-    "WarmupTask",
-    "PoolOutcome",
-    "PoolDeadlineError",
 ]

@@ -6,7 +6,7 @@ The response is a :class:`Certificate`: the synthesized ``P``, the
 exact-validation verdict, and the LMI constraint margins from the
 compiled batched screen.
 
-Three performance layers sit between a request and the math:
+Two performance layers sit between a request and the math:
 
 1. **Content-addressed cache** — requests are fingerprinted with the
    journal's salted task fingerprints; a repeat request returns the
@@ -21,16 +21,16 @@ Three performance layers sit between a request and the math:
    :func:`repro.sdp.screen_candidates`, whose gufunc ``eigh`` applies
    LAPACK per stacked matrix — batched results are bit-identical to
    the direct path.
-3. **Warm workers** — pass a :class:`repro.service.pool.WarmPool` and
-   requests execute on persistent worker processes with compiled
-   tensors and svec bases pre-warmed, under per-request deadlines and
-   the runner's retry classification.
+
+Requests compute in the calling thread. The measured warm-over-cold
+speedup (``benchmarks/test_service.py``) comes from the store: a
+repeat request costs one fingerprint and one lookup.
 
 Deterministic *domain* failures (an infeasible LMI, a non-Hurwitz
 matrix) are certificates too — ``synth_status`` records the reason and
 the result is cached like any other, because re-running cannot change
-it. *Environmental* failures (a killed worker with retries exhausted, a
-blown deadline) surface as exceptions and are never cached.
+it. An exception out of a computation reaches every waiter of that
+request and is never cached.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class Certificate:
     margins (nonnegative = feasible; see
     :meth:`repro.sdp.LyapunovLmiProblem.constraint_margins`).
     ``synthesis_time``/``validation_time`` are measured wall times and
-    ``provenance`` records how the request executed (attempts, worker
-    pids) — all three are volatile across runs and excluded from
+    ``provenance`` records how the request executed — all three are
+    volatile across runs and excluded from
     :meth:`identity`, the stable payload that cached, coalesced and
     batched paths must reproduce bit for bit.
     """
@@ -290,28 +290,22 @@ class CertificationService:
     """Front door for certification requests (cache, dedup, batching).
 
     ``store`` defaults to a memory-only :class:`CertificateStore`;
-    pass one with a path for a persistent cache. ``pool`` (a
-    :class:`repro.service.pool.WarmPool`) moves execution onto warm
-    worker processes; without one, requests compute in the calling
-    thread. ``task_deadline`` is the default per-request wall-clock
-    budget (enforced in pooled mode only, like the runner).
+    pass one with a path for a persistent cache. Requests compute in
+    the calling thread; the service is thread-safe, so concurrent
+    callers share the cache and coalesce identical requests.
     """
 
     def __init__(
         self,
         store: CertificateStore | None = None,
-        pool=None,
         validator: str = "sylvester",
         sigfigs: int | None = 10,
         fallback: bool = True,
-        task_deadline: float | None = None,
     ):
         self.store = store if store is not None else CertificateStore()
-        self.pool = pool
         self.validator = validator
         self.sigfigs = sigfigs
         self.fallback = fallback
-        self.task_deadline = task_deadline
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
         self.requests = 0
@@ -368,19 +362,17 @@ class CertificationService:
 
     # -- the three entry points ----------------------------------------
 
-    def certify(self, a, deadline: float | None = None, **request_kwargs):
+    def certify(self, a, **request_kwargs):
         """Certify one system, blocking; returns a :class:`Certificate`."""
-        return self.submit(a, deadline=deadline, **request_kwargs).result()
+        return self.submit(a, **request_kwargs).result()
 
-    def submit(
-        self, a, deadline: float | None = None, **request_kwargs
-    ) -> Future:
+    def submit(self, a, **request_kwargs) -> Future:
         """Submit one request; returns a :class:`~concurrent.futures.Future`.
 
         Cache hits resolve immediately; an identical in-flight request
         returns *its* future (single-flight); otherwise the request
-        computes on the warm pool (or inline without one), is stored
-        exactly once, and resolves every coalesced future.
+        computes inline, is stored exactly once, and resolves every
+        coalesced future.
         """
         task = (
             # Any runner Task passes through untouched — this is how
@@ -403,12 +395,10 @@ class CertificationService:
             future = Future()
             self._inflight[fingerprint] = future
             self.computations += 1
-        self._execute(fingerprint, task, future, deadline)
+        self._execute(fingerprint, task, future)
         return future
 
-    def certify_many(
-        self, requests, deadline: float | None = None
-    ) -> list:
+    def certify_many(self, requests) -> list:
         """Certify many systems; pending screens share one batched pass.
 
         ``requests`` is a sequence of :class:`CertifyTask` (or kwargs
@@ -448,20 +438,12 @@ class CertificationService:
                 self.computations += 1
         if fresh:
             batch = CertifyBatchTask([task for task, _ in fresh.values()])
-            self._execute_batch(list(fresh.items()), batch, deadline)
+            self._execute_batch(list(fresh.items()), batch)
         return [futures[fingerprint].result() for fingerprint in fingerprints]
 
     # -- execution ------------------------------------------------------
 
-    def _execute(self, fingerprint, task, future, deadline):
-        if self.pool is not None:
-            inner = self.pool.submit(
-                task, deadline=self._deadline(deadline)
-            )
-            inner.add_done_callback(
-                lambda done: self._finish_pooled(fingerprint, future, done)
-            )
-            return
+    def _execute(self, fingerprint, task, future):
         try:
             certificate = task.run()
         except BaseException as exc:
@@ -470,15 +452,7 @@ class CertificationService:
         certificate.provenance = {"executor": "inline", "attempts": 1}
         self._resolve(fingerprint, future, certificate)
 
-    def _execute_batch(self, fresh, batch, deadline):
-        if self.pool is not None:
-            inner = self.pool.submit(
-                batch, deadline=self._deadline(deadline)
-            )
-            inner.add_done_callback(
-                lambda done: self._finish_pooled_batch(fresh, done)
-            )
-            return
+    def _execute_batch(self, fresh, batch):
         try:
             certificates = batch.run()
         except BaseException as exc:
@@ -490,41 +464,6 @@ class CertificationService:
         ):
             certificate.provenance = {"executor": "inline", "attempts": 1}
             self._resolve(fingerprint, future, certificate)
-
-    def _deadline(self, deadline):
-        return self.task_deadline if deadline is None else deadline
-
-    def _finish_pooled(self, fingerprint, future, done):
-        try:
-            outcome = done.result()
-        except BaseException as exc:
-            self._resolve_error(fingerprint, future, exc)
-            return
-        certificate = outcome.result
-        certificate.provenance = self._pool_provenance(outcome)
-        self._resolve(fingerprint, future, certificate)
-
-    def _finish_pooled_batch(self, fresh, done):
-        try:
-            outcome = done.result()
-        except BaseException as exc:
-            for fingerprint, (_task, future) in fresh:
-                self._resolve_error(fingerprint, future, exc)
-            return
-        provenance = self._pool_provenance(outcome)
-        for (fingerprint, (_task, future)), certificate in zip(
-            fresh, outcome.result
-        ):
-            certificate.provenance = dict(provenance)
-            self._resolve(fingerprint, future, certificate)
-
-    @staticmethod
-    def _pool_provenance(outcome) -> dict:
-        return {
-            "executor": "pool",
-            "attempts": outcome.attempts,
-            "workers": list(outcome.workers),
-        }
 
     def _resolve(self, fingerprint, future, certificate):
         """Store exactly once, then wake every coalesced waiter."""
@@ -549,13 +488,9 @@ class CertificationService:
                 "dedup_hits": self.dedup_hits,
             }
         counters.update(self.store.counters())
-        if self.pool is not None:
-            counters["pool"] = self.pool.counters()
         return counters
 
     def close(self) -> None:
-        if self.pool is not None:
-            self.pool.close()
         self.store.close()
 
     def __enter__(self) -> "CertificationService":

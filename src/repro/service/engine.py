@@ -1,18 +1,16 @@
-"""The generic campaign engine (refactored out of the experiment drivers).
+"""The generic campaign engine every experiment driver runs through.
 
-Every experiment driver used to thread the same six runner knobs —
-``jobs``, ``task_deadline``, ``timing``, ``journal``, ``retry``,
-``stats`` — through its signature and forward them verbatim to
-:func:`repro.runner.run_tasks`. :class:`CampaignEngine` bundles those
-knobs into one reusable object: the drivers become thin clients that
-build their task grids and call :meth:`CampaignEngine.run`, and the
-certification service reuses the *same* engine for its request
-execution, so service campaigns inherit journaling, retries, deadlines
-and timing collection for free.
+:class:`CampaignEngine` bundles the runner knobs — ``jobs``,
+``task_deadline``, ``timing``, ``journal``, ``retry``, ``stats``,
+``shards`` — into one object. The drivers build their task grids and
+call :meth:`CampaignEngine.run`; they take an ``engine`` and no runner
+knob of their own, and ``engine=None`` means ``CampaignEngine()``: an
+in-process run.
 
-``run`` forwards to :func:`repro.runner.run_tasks` with exactly the
-arguments the drivers used to pass, so an engine-routed campaign
-renders byte-identically to the pre-engine code path.
+``run`` forwards to :func:`repro.runner.run_tasks` (or, when sharded,
+:func:`repro.runner.run_sharded`) with exactly those arguments, so an
+engine-routed campaign renders byte-identically to a direct runner
+call.
 """
 
 from __future__ import annotations
@@ -38,13 +36,12 @@ class CampaignEngine:
     accumulates the campaign summary counters across every ``run``
     call that shares this engine.
 
-    ``shards`` routes campaigns through the fault-tolerant shard
-    supervisor (:func:`repro.runner.run_sharded`) instead of the flat
-    process pool: ``None`` honours the ``REPRO_SHARDS`` env override
-    and otherwise stays unsharded, a resolved count of 1 is exactly
-    ``run_tasks``. ``shard_opts`` passes supervisor knobs through
-    (``heartbeat_s``, ``lease_ttl``, ``window``, ``chaos``, ``watch``,
-    ``watch_interval``, ``max_requeues``).
+    ``shards`` routes campaigns through the fault-tolerant shards
+    (:func:`repro.runner.run_sharded`) instead of the flat process
+    pool: ``None`` honours the ``REPRO_SHARDS`` env override and
+    otherwise stays unsharded, a resolved count of 1 is exactly
+    ``run_tasks``. ``shard_opts`` passes shard knobs through
+    (``heartbeat_s``, ``lease_ttl``, ``chaos``, ``watch``).
     """
 
     jobs: int | None = 1
@@ -55,38 +52,6 @@ class CampaignEngine:
     stats: CampaignStats = field(default_factory=CampaignStats)
     shards: int | None = None
     shard_opts: dict = field(default_factory=dict)
-
-    @classmethod
-    def ensure(
-        cls,
-        engine: "CampaignEngine | None",
-        jobs: int | None = 1,
-        task_deadline: float | None = None,
-        timing=None,
-        journal=None,
-        retry=None,
-        stats=None,
-        shards=None,
-        shard_opts=None,
-    ) -> "CampaignEngine":
-        """``engine`` if given, else one built from the legacy kwargs.
-
-        This is the drivers' compatibility shim: their historical
-        ``jobs``/``timing``/``journal``/... parameters keep working,
-        while callers holding a :class:`CampaignEngine` pass it
-        directly and the legacy knobs are ignored.
-        """
-        if engine is not None:
-            return engine
-        built = cls(
-            jobs=jobs, task_deadline=task_deadline, timing=timing,
-            journal=journal, retry=retry, shards=shards,
-        )
-        if stats is not None:
-            built.stats = stats
-        if shard_opts is not None:
-            built.shard_opts = dict(shard_opts)
-        return built
 
     def run(self, tasks) -> list:
         """Run ``tasks`` under this engine's context, in submission order."""

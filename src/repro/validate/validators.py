@@ -21,14 +21,12 @@ the paper compares:
 ==============  ====================================================
 
 The three exact validators accept a ``backend`` option
-(``"auto"|"fraction"|"int"|"gmpy2"|"modular"``, forwarded to
+(``"auto"|"fraction"|"int"|"modular"``, forwarded to
 :mod:`repro.exact.kernels`): ``run_validator(name, matrix,
 backend="int")`` decides the same verdict from integer kernels after a
 single denominator clearing, while ``backend="fraction"`` pins the
 historical Fraction oracle — the pair powers the differential tests.
-``"gmpy2"`` runs the same integer elimination on GMP ``mpz`` limbs when
-the optional gmpy2 package is installed and resolves silently to
-``"int"`` when it is not. The ICP validators accept ``icp_backend``
+The ICP validators accept ``icp_backend``
 (``"auto"|"scalar"|"batched"``) selecting the refuter engine.
 
 **Graceful degradation.** Verdicts must survive a flaky backend, so
@@ -36,8 +34,8 @@ failures degrade along two chains (opt out with ``fallback=False``,
 the CLI's ``--no-fallback``):
 
 * a kernel backend that *raises* falls back ``modular -> int ->
-  fraction`` (and ``gmpy2 -> int -> fraction``; see
-  :data:`repro.exact.kernels.KERNEL_FALLBACKS`) inside the same
+  fraction`` (see :data:`repro.exact.kernels.KERNEL_FALLBACKS`)
+  inside the same
   validator;
 * a validator whose every backend failed escalates to the independent
   ``sympy`` implementation (:data:`VALIDATOR_ESCALATION`).

@@ -37,7 +37,7 @@ from repro.lyapunov import synthesize
 from repro.validate import run_validator
 from repro.validate.pipeline import lie_derivative_exact
 
-BACKENDS = ("auto", "fraction", "int", "gmpy2", "modular")
+BACKENDS = ("auto", "fraction", "int", "modular")
 
 
 def frac_matrix(entries):
@@ -90,6 +90,16 @@ class TestDispatch:
         with pytest.raises(KeyError):
             resolve_backend("sympy")
 
+    def test_gmpy2_resolution_tracks_availability(self):
+        # There is no gmpy2 backend: whether or not the gmpy2 module is
+        # installed, the name is unknown for every op — it never degrades
+        # silently to "int".
+        assert "gmpy2" not in kernels.KERNEL_BACKENDS
+        assert "gmpy2" not in kernels.KERNEL_FALLBACKS
+        for op in ("det", "minors", "solve", "ldl", "charpoly"):
+            with pytest.raises(KeyError):
+                resolve_backend("gmpy2", 21, op=op)
+
     def test_explicit_backends_pass_through(self):
         for backend in ("fraction", "int", "modular"):
             assert resolve_backend(backend, 50, op="det") == backend
@@ -101,26 +111,10 @@ class TestDispatch:
     def test_auto_routes_streams_to_int(self):
         assert resolve_backend("auto", 50, op="minors") == "int"
 
-    def test_gmpy2_resolution_tracks_availability(self):
-        # With gmpy2 installed, "gmpy2" passes through; without it, the
-        # backend degrades silently to "int" (identical results, plain
-        # Python bignums) — no error in either world.
-        expected = "gmpy2" if kernels.gmpy2_available() else "int"
-        for op in ("det", "minors", "solve", "ldl", "charpoly"):
-            assert resolve_backend("gmpy2", 21, op=op) == expected
-
-    def test_gmpy2_fallback_chain_reaches_fraction(self):
-        assert kernels.KERNEL_FALLBACKS["gmpy2"] == "int"
-        assert kernels.fallback_backend("gmpy2") == "int"
+    def test_fallback_chain_reaches_fraction(self):
+        assert kernels.fallback_backend("modular") == "int"
         assert kernels.fallback_backend("int") == "fraction"
-
-    def test_auto_never_selects_gmpy2(self):
-        # "auto" routing is pinned to int/modular regardless of what is
-        # installed — gmpy2 is an explicit opt-in, so auto verdicts stay
-        # identical across environments.
-        for n in (2, kernels.MODULAR_MIN_N, 50):
-            for op in ("det", "minors"):
-                assert resolve_backend("auto", n, op=op) != "gmpy2"
+        assert kernels.fallback_backend("fraction") is None
 
 
 class TestIntegerKernels:
@@ -320,75 +314,6 @@ class TestBackendAgreement:
         assert auto.valid is pinned.valid is True
         assert auto.extra.get("backend") is None
         assert pinned.extra["backend"] == "int"
-
-
-class TestGmpy2Kernels:
-    """Bit-equality of the gmpy2 kernels against the "int" oracle.
-
-    Skips cleanly when gmpy2 is not installed (the without-gmpy2 CI job
-    exercises exactly that world via the resolution tests above).
-    """
-
-    @pytest.fixture(autouse=True)
-    def _need_gmpy2(self):
-        pytest.importorskip("gmpy2")
-
-    @staticmethod
-    def ladder_rows(n, seed=0):
-        """Deterministic integer matrix in the fuzz-ladder style."""
-        return [
-            [((i * 31 + j * 17 + seed * 7) % 23) - 11
-             + (n * 29 if i == j else 0)
-             for j in range(n)]
-            for i in range(n)
-        ]
-
-    @pytest.mark.parametrize("n", list(range(1, 22)))
-    def test_det_minors_solve_ladder(self, n):
-        rows = self.ladder_rows(n)
-        sym = [
-            [rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)
-        ]
-        got_det = kernels.gmpy2_bareiss_determinant(rows)
-        assert got_det == kernels.int_bareiss_determinant(rows)
-        assert isinstance(got_det, int)
-        got_minors = list(kernels.iter_gmpy2_leading_principal_minors(sym))
-        assert got_minors == list(
-            kernels.iter_int_leading_principal_minors(sym)
-        )
-        assert all(isinstance(m, int) for m in got_minors)
-        rhs = [[(i * 13 + b) % 7 - 3 for b in range(2)] for i in range(n)]
-        assert kernels.gmpy2_solve_columns(rows, rhs) == (
-            kernels.int_solve_columns(rows, rhs)
-        )
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 13, 21])
-    def test_ldlt_rank_charpoly_ladder(self, n):
-        rows = self.ladder_rows(n, seed=3)
-        sym = [
-            [rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)
-        ]
-        assert kernels.gmpy2_ldlt(sym) == kernels.int_ldlt(sym)
-        assert kernels.gmpy2_rank(rows) == kernels.int_rank(rows)
-        assert kernels.gmpy2_charpoly(rows) == kernels.int_charpoly(rows)
-
-    def test_zero_pivot_paths(self):
-        assert list(
-            kernels.iter_gmpy2_leading_principal_minors([[0, 1], [1, 0]])
-        ) == [0, -1]
-        assert kernels.gmpy2_ldlt([[0, 1], [1, 0]]) is None
-        with pytest.raises(ValueError):
-            kernels.gmpy2_solve_columns([[1, 2], [2, 4]], [[1], [1]])
-
-    def test_fuzzer_generated_matrices(self):
-        from repro.oracle import generate_system
-
-        for n in (1, 3, 5, 8, 13, 18, 21):
-            system = generate_system("integer", n, seed=n)
-            rows, _den = kernels.normalized(system.a)
-            assert kernels.gmpy2_bareiss_determinant(rows) == (
-                kernels.int_bareiss_determinant(rows)
-            )
 
 
 class TestBenchmarkLadderAgreement:

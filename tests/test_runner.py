@@ -25,6 +25,7 @@ from repro.runner import (
     run_tasks,
     write_bench,
 )
+from repro.service import CampaignEngine
 
 QUICK_METHODS = [MethodKey("eq-num"), MethodKey("lmi", "shift")]
 
@@ -264,7 +265,9 @@ class TestRetry:
             retry=RetryPolicy(retries=2, backoff=0.001), stats=stats,
         )
         assert results == [("ok", 2), 5]
-        assert stats.retried_tasks == 1
+        # A worker death is an infrastructure requeue, not a policy retry.
+        assert stats.requeued_tasks == 1
+        assert stats.retried_tasks == 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_permanent_failure_not_retried(self, jobs):
@@ -341,7 +344,7 @@ class TestTimingArtifact:
         collector = TimingCollector()
         run_table1(
             sizes=(3,), integer_sizes=(), methods=QUICK_METHODS,
-            jobs=1, timing=collector,
+            engine=CampaignEngine(jobs=1, timing=collector),
         )
         entries = collector.entries()
         assert len(entries) == 4  # 1 case x 2 modes x 2 methods
@@ -359,7 +362,10 @@ class TestParallelEquivalence:
             sizes=(3,), integer_sizes=(3,), methods=QUICK_METHODS,
             keep_candidates=True,
         )
-        return run_table1(jobs=1, **kwargs), run_table1(jobs=2, **kwargs)
+        return (
+            run_table1(engine=CampaignEngine(jobs=1), **kwargs),
+            run_table1(engine=CampaignEngine(jobs=2), **kwargs),
+        )
 
     def test_records_identical_modulo_wall_times(self, serial_and_parallel):
         (serial, _), (parallel, _) = serial_and_parallel
@@ -381,7 +387,7 @@ class TestParallelEquivalence:
         )
         sweep_parallel = rounding_sweep(
             parallel_cands, sigfig_levels=(10, 4), base_records=parallel,
-            jobs=2,
+            engine=CampaignEngine(jobs=2),
         )
         assert render_sweep(
             [_normalize(r) for r in sweep_serial]
@@ -397,7 +403,7 @@ class TestRoundingSweepReuse:
         collector = TimingCollector()
         sweep = rounding_sweep(
             candidates, sigfig_levels=(10, 6, 4), base_records=records,
-            timing=collector,
+            engine=CampaignEngine(timing=collector),
         )
         assert len(sweep) == 3 * len(candidates)
         # Only levels 6 and 4 actually ran; level 10 is the same objects.
@@ -417,7 +423,8 @@ class TestRoundingSweepReuse:
         )
         collector = TimingCollector()
         sweep = rounding_sweep(
-            candidates, sigfig_levels=(10, 4), timing=collector
+            candidates, sigfig_levels=(10, 4),
+            engine=CampaignEngine(timing=collector),
         )
         assert len(sweep) == 2 * len(candidates)
         assert len(collector.timings) == 2 * len(candidates)

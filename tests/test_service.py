@@ -1,15 +1,14 @@
 """Tests for the certification service (repro.service).
 
-Covers the three performance layers — the content-addressed
-certificate store, single-flight dedup + same-shape batching, and the
-persistent warm-worker pool — plus the campaign engine the experiment
-drivers route through, the ``REPRO_JOBS`` override, and fingerprint
-memoization. The dedup/batching tests are *differential*: every
-accelerated path must reproduce the direct path's
-:meth:`repro.service.Certificate.identity` bit for bit.
+Covers the two performance layers — the content-addressed
+certificate store and single-flight dedup + same-shape batching — plus
+the campaign engine the experiment drivers route through, the
+``REPRO_JOBS`` override, and fingerprint memoization. The
+dedup/batching tests are *differential*: every accelerated path must
+reproduce the direct path's :meth:`repro.service.Certificate.identity`
+bit for bit.
 """
 
-import asyncio
 import os
 import threading
 
@@ -19,8 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runner import (
-    ChaosPolicy,
-    ChaosTask,
     Journal,
     Task,
     resolve_jobs,
@@ -28,15 +25,11 @@ from repro.runner import (
     task_fingerprint,
 )
 from repro.service import (
-    AsyncCertificationService,
     CampaignEngine,
     Certificate,
     CertificationService,
     CertifyTask,
     CertificateStore,
-    PoolDeadlineError,
-    PoolOutcome,
-    WarmPool,
     certify,
 )
 
@@ -50,17 +43,6 @@ def fast_request(service, a=STABLE, **kwargs):
     kwargs.setdefault("method", "lmi")
     kwargs.setdefault("backend", "shift")
     return service.request(a, **kwargs)
-
-
-# ----------------------------------------------------------------------
-# Module-level tasks (picklable for the pool tests)
-# ----------------------------------------------------------------------
-
-class HangTask(Task):
-    def run(self):
-        import time
-
-        time.sleep(600)
 
 
 # ----------------------------------------------------------------------
@@ -265,127 +247,6 @@ class TestBatching:
 
 
 # ----------------------------------------------------------------------
-# Warm-worker pool
-# ----------------------------------------------------------------------
-
-class TestWarmPool:
-    def test_pooled_certify_with_provenance(self):
-        with CertificationService(
-            pool=WarmPool(jobs=2, warm_sizes=(2,)), sigfigs=6
-        ) as svc:
-            cert = svc.certify(STABLE, method="lmi", backend="shift")
-            warm = svc.certify(STABLE, method="lmi", backend="shift")
-        assert cert.valid is True
-        assert cert.provenance["executor"] == "pool"
-        assert cert.provenance["attempts"] == 1
-        assert cert.provenance["workers"][0] != os.getpid()
-        # The cache hit returns the stored certificate unchanged.
-        assert warm.identity() == cert.identity()
-        assert svc.pool.counters()["tasks_done"] >= 1
-
-    def test_pool_matches_inline_identity(self):
-        with CertificationService(sigfigs=6) as inline_svc:
-            inline = inline_svc.certify(STABLE, method="lmi", backend="shift")
-        with CertificationService(
-            pool=WarmPool(jobs=1), sigfigs=6
-        ) as pooled_svc:
-            pooled = pooled_svc.certify(STABLE, method="lmi", backend="shift")
-        assert pooled.identity() == inline.identity()
-
-    def test_deadline_kills_hung_request(self):
-        with WarmPool(jobs=1, retry=0) as pool:
-            future = pool.submit(HangTask(), deadline=1.0)
-            with pytest.raises(PoolDeadlineError):
-                future.result(timeout=60)
-            assert pool.deadline_kills == 1
-        # The service never caches environmental failures.
-        with CertificationService(
-            pool=WarmPool(jobs=1, retry=0), sigfigs=6, task_deadline=1.0
-        ) as svc:
-            with pytest.raises(PoolDeadlineError):
-                svc.certify(HangTask())
-            assert svc.store.writes == 0
-
-    def test_worker_death_mid_request_retried_on_fresh_worker(self):
-        """The chaos worker-death fault: the request's first attempt
-        dies mid-flight (after the kill delay); the service retries on
-        a freshly warmed worker and records both attempts in the
-        certificate's provenance — no lost or duplicated entries."""
-        task = CertifyTask(
-            STABLE, method="lmi", backend="shift", sigfigs=6
-        )
-        chaotic = ChaosTask(
-            task, ChaosPolicy(kill_first_attempts=1, kill_after_s=0.05)
-        )
-        with CertificationService(
-            pool=WarmPool(jobs=2, retry=2), sigfigs=6
-        ) as svc:
-            cert = svc.certify(chaotic)
-            counters = svc.pool.counters()
-        assert cert.synth_status == "ok" and cert.valid is True
-        assert cert.provenance["attempts"] == 2
-        workers = cert.provenance["workers"]
-        assert len(workers) == 2 and workers[0] != workers[1]
-        assert counters["worker_deaths"] >= 1
-        assert counters["respawns"] >= 1
-        assert svc.store.writes == 1  # exactly one certificate stored
-        direct = CertifyTask(
-            STABLE, method="lmi", backend="shift", sigfigs=6
-        ).run()
-        assert cert.identity() == direct.identity()
-
-    def test_pool_outcome_shape(self):
-        with WarmPool(jobs=1) as pool:
-            outcome = pool.submit(
-                CertifyTask(STABLE, method="lmi", backend="shift", sigfigs=6)
-            ).result(timeout=120)
-        assert isinstance(outcome, PoolOutcome)
-        assert outcome.attempts == 1 and len(outcome.workers) == 1
-
-    def test_prewarm_solver_hook(self):
-        """The warm-up task runs the solver front-end's prewarm hook;
-        its probe (A = -I, P = I) must screen as strictly feasible."""
-        from repro.sdp import prewarm_solver
-        from repro.service.pool import WarmupTask
-
-        summary = prewarm_solver(3)
-        assert summary["n"] == 3 and summary["svec_dim"] == 6
-        floor, decay = summary["screen"]
-        assert floor > 0 and decay > 0
-        assert WarmupTask(sizes=(2,)).run() == os.getpid()
-
-
-# ----------------------------------------------------------------------
-# Async front
-# ----------------------------------------------------------------------
-
-class TestAsyncFront:
-    def test_gather_with_backpressure(self):
-        async def scenario():
-            with CertificationService(sigfigs=6) as svc:
-                front = AsyncCertificationService(svc, max_pending=2)
-                requests = [
-                    fast_request(svc, [[-s, 0.0], [0.0, -2.0]])
-                    for s in (1.0, 1.5, 2.0, 1.0)  # one duplicate
-                ]
-                certs = await front.gather(requests)
-                single = await front.certify(
-                    STABLE, method="lmi", backend="shift"
-                )
-            return certs, single, svc.computations
-
-        certs, single, computations = asyncio.run(scenario())
-        assert [c.synth_status for c in certs] == ["ok"] * 4
-        assert certs[0].identity() == certs[3].identity()
-        assert computations == 4  # 3 distinct + the standalone
-        assert single.valid is True
-
-    def test_rejects_bad_backpressure(self):
-        with pytest.raises(ValueError):
-            AsyncCertificationService(object(), max_pending=0)
-
-
-# ----------------------------------------------------------------------
 # Campaign engine
 # ----------------------------------------------------------------------
 
@@ -403,12 +264,6 @@ class TestCampaignEngine:
         engine = CampaignEngine(jobs=1)
         assert engine.run(tasks) == run_tasks(tasks, jobs=1)
         assert engine.stats.executed == 5
-
-    def test_ensure_passthrough_and_build(self):
-        engine = CampaignEngine(jobs=2)
-        assert CampaignEngine.ensure(engine, jobs=7) is engine
-        built = CampaignEngine.ensure(None, jobs=3, task_deadline=1.5)
-        assert built.jobs == 3 and built.task_deadline == 1.5
 
     def test_drivers_accept_engine(self):
         from repro.experiments import MethodKey, run_table1
