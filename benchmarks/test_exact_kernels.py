@@ -8,7 +8,11 @@ measured per-backend wall times into the ``kernels`` section of
    slower than the Fraction oracle;
 2. at n=18 (the paper's largest closed-loop dimension before the
    integer ladder tops out) both are at least 5x faster — measured
-   headroom is ~2x beyond the pin (int ~9.6x, modular ~10x).
+   headroom is ~2x beyond the pin (int ~9.6x, modular ~10x);
+3. at n=21, ``lie_derivative_exact`` (one integer product on the
+   normal form) is at least 5x faster than the entry-by-entry Fraction
+   formula it replaced. ``REPRO_PERF_SOFT=1`` demotes a miss of that
+   pin to a warning and fails only below 2.5x.
 
 Matrices follow the shape the validation pipeline actually feeds the
 kernels: a Lie derivative ``-(A^T P + P A)`` of a float-exact stable
@@ -20,8 +24,10 @@ Hadamard bounds of ~2700 bits at n=18.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +39,7 @@ from repro.exact import (
     leading_principal_minors,
 )
 from repro.runner import write_kernels_bench
+from repro.validate.pipeline import lie_derivative_exact
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / (
     "BENCH_experiments.json"
@@ -40,9 +47,14 @@ BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / (
 SIZES = (3, 5, 10, 15, 18, 21)
 BACKENDS = ("fraction", "int", "modular")
 
+#: lie_derivative_exact speedup over the entry-by-entry formula at n=21.
+LIE_PIN = 5.0
+#: REPRO_PERF_SOFT floor: a >2x regression from the pin.
+LIE_SOFT_FLOOR = 2.5
 
-def lie_shaped(n, seed):
-    """-(A^T P + P A) for float-exact stable A and 10-sigfig PD P."""
+
+def lie_inputs(n, seed):
+    """Float-exact stable ``A`` and a 10-sigfig PD ``P``."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
     a -= (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(n)
@@ -52,7 +64,40 @@ def lie_shaped(n, seed):
          for row in rng.normal(size=(n, n)).tolist()]
     )
     p = (g @ g.T + RationalMatrix.identity(n).scale(n)).symmetrize()
+    return p, a_exact
+
+
+def lie_shaped(n, seed):
+    """-(A^T P + P A) for float-exact stable A and 10-sigfig PD P."""
+    p, a_exact = lie_inputs(n, seed)
     return (a_exact.T @ p + p @ a_exact).scale(-1).symmetrize()
+
+
+def reference_lie(p, a):
+    """``A^T P + P A``, symmetrized, one Fraction operation per step."""
+    p_rows, a_rows = p.tolist(), a.tolist()
+    a_cols = [list(col) for col in zip(*a_rows)]
+    p_cols = [list(col) for col in zip(*p_rows)]
+    n = len(p_rows)
+    at_p = [[sum(x * y for x, y in zip(ac, pc)) for pc in p_cols]
+            for ac in a_cols]
+    p_a = [[sum(x * y for x, y in zip(pr, ac)) for ac in a_cols]
+           for pr in p_rows]
+    total = [[at_p[i][j] + p_a[i][j] for j in range(n)] for i in range(n)]
+    half = Fraction(1, 2)
+    return [[(total[i][j] + total[j][i]) * half for j in range(n)]
+            for i in range(n)]
+
+
+def _merge_kernels_bench(entries: dict) -> dict:
+    """Update keys of the ``kernels`` section, keeping the others."""
+    current = {}
+    if BENCH_PATH.exists():
+        try:
+            current = json.loads(BENCH_PATH.read_text()).get("kernels", {})
+        except ValueError:
+            current = {}
+    return write_kernels_bench(BENCH_PATH, {**current, **entries})
 
 
 def _best_of(fn, reps=3):
@@ -102,10 +147,47 @@ def test_kernel_backends_scaling_writes_bench():
     assert at18["modular_det_s"] * 5 <= at18["fraction_det_s"]
     assert at18["int_minors_s"] * 5 <= at18["fraction_minors_s"]
 
-    data = write_kernels_bench(
-        BENCH_PATH, {"sizes": sizes, "cache": kernel_cache_info()}
+    data = _merge_kernels_bench(
+        {"sizes": sizes, "cache": kernel_cache_info()}
     )
     assert data["schema"] == "repro-bench/2"
     on_disk = json.loads(BENCH_PATH.read_text())
     assert set(on_disk["kernels"]["sizes"]) == {str(n) for n in SIZES}
     assert "experiments" in on_disk
+
+
+def test_lie_derivative_speedup_pin_writes_bench():
+    soft = bool(os.environ.get("REPRO_PERF_SOFT"))
+    n = 21
+    p, a_exact = lie_inputs(n, seed=7)
+    # Agreement first, so a fast-but-wrong product can never win.
+    assert lie_derivative_exact(p, a_exact).tolist() == reference_lie(
+        p, a_exact
+    )
+    reference_s = _best_of(lambda: reference_lie(p, a_exact))
+    normal_form_s = _best_of(lambda: lie_derivative_exact(p, a_exact), reps=7)
+    speedup = reference_s / normal_form_s
+    _merge_kernels_bench(
+        {
+            "lie_derivative": {
+                "n": n,
+                "reference_s": reference_s,
+                "normal_form_s": normal_form_s,
+                "speedup": speedup,
+            }
+        }
+    )
+    floor = LIE_SOFT_FLOOR if soft else LIE_PIN
+    if soft and speedup < LIE_PIN:
+        warnings.warn(
+            f"lie_derivative_exact: {speedup:.1f}x below the {LIE_PIN:g}x "
+            f"pin (soft mode, floor {LIE_SOFT_FLOOR:g}x)",
+            stacklevel=1,
+        )
+    assert speedup >= floor, (
+        f"lie_derivative_exact {normal_form_s * 1e3:.2f} ms is only "
+        f"{speedup:.1f}x faster than the entry-by-entry reference "
+        f"{reference_s * 1e3:.2f} ms (floor {floor:g}x)"
+    )
+    on_disk = json.loads(BENCH_PATH.read_text())
+    assert on_disk["kernels"]["lie_derivative"]["n"] == n

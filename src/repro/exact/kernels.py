@@ -7,10 +7,12 @@ intermediate numerators exploding on the 18/21-state candidates. This
 module is the fast path under :mod:`repro.exact.factor` /
 :mod:`repro.exact.definiteness` / :mod:`repro.exact.poly`:
 
-* :func:`clear_denominators` normalizes a :class:`RationalMatrix` once
-  into a plain integer matrix plus a single denominator scale
-  (``M == N / den`` entrywise), memoized per process in a small LRU
-  keyed by the (immutable) matrix — see :func:`normalized`.
+* :func:`clear_denominators` is the integer normal form ``M == N / den``
+  (one positive denominator, the LCM of the entry denominators) that
+  :meth:`RationalMatrix.normal_form` defines and the matrix arithmetic
+  itself runs on; :func:`normalized` memoizes it per process in a small
+  LRU keyed by the (immutable) matrix, so the checks that read one
+  matrix several times clear its denominators once.
 * **Integer Bareiss** kernels (:func:`int_bareiss_determinant`,
   :func:`iter_int_leading_principal_minors`, :func:`int_solve_columns`,
   :func:`int_rank`) run fraction-free elimination over machine/big
@@ -55,7 +57,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .matrix import RationalMatrix
+from .matrix import RationalMatrix, int_matmul
 
 try:  # only the batched modular kernels want NumPy; degrade to scalar
     import numpy as _np
@@ -145,15 +147,7 @@ def clear_denominators(
     caller may consume but must not mutate (they may be cached — copy
     before eliminating in place).
     """
-    den = 1
-    for x in matrix.iter_entries():
-        d = x.denominator
-        den = den * (d // math.gcd(den, d))
-    rows = [
-        [x.numerator * (den // x.denominator) for x in row]
-        for row in matrix.tolist()
-    ]
-    return rows, den
+    return matrix.normal_form()
 
 
 #: Per-process normalization cache. Keyed by the matrix itself
@@ -441,13 +435,7 @@ def int_charpoly(rows: Sequence[Sequence[int]]) -> list[int]:
         if k < n:
             for i in range(n):
                 mk[i][i] += ck
-            mk = [
-                [
-                    sum(rows[i][l] * mk[l][j] for l in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
+            mk = int_matmul(rows, mk)
     return coeffs
 
 

@@ -1,22 +1,44 @@
 """Dense matrices over exact rational numbers.
 
-:class:`RationalMatrix` is a small, dependency-free dense matrix type
-over :class:`fractions.Fraction`. It exists because every *verdict* in
-this library (positive definiteness, Hurwitz stability, robust-region
-optimality) must be an exact proof; numpy arrays feed the numerical
-synthesis side, and are converted here (exactly) for validation.
+:class:`RationalMatrix` is a small, dependency-free dense matrix type.
+It exists because every *verdict* in this library (positive
+definiteness, Hurwitz stability, robust-region optimality) must be an
+exact proof; numpy arrays feed the numerical synthesis side, and are
+converted here (exactly) for validation.
+
+Entries are canonical :class:`fractions.Fraction` objects, but the
+arithmetic (``@``, ``+``, ``-``, :meth:`~RationalMatrix.scale`,
+:meth:`~RationalMatrix.symmetrize`) runs on the *integer normal form*
+``M = N / den``: one positive common denominator ``den`` (the LCM of
+the entry denominators) over a plain integer matrix ``N``
+(:meth:`RationalMatrix.normal_form`). A product is then ``n^3`` Python
+int multiply-adds over one denominator ``den_A * den_B``, and each
+result entry is normalized once by ``Fraction(num, den)``
+(:meth:`RationalMatrix.from_normal_form`) instead of paying a
+``Fraction`` operation and a GCD per scalar step. The exact kernels
+(:mod:`repro.exact.kernels`) eliminate on the same normal form.
 
 The class is immutable by convention: operations return new matrices.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .rational import Number, fraction_to_float, round_sigfigs, to_fraction
 
-__all__ = ["RationalMatrix"]
+__all__ = ["RationalMatrix", "int_matmul"]
+
+
+def int_matmul(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The product of two integer matrices given as row lists."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 class RationalMatrix:
@@ -49,6 +71,39 @@ class RationalMatrix:
         if getattr(array, "ndim", None) == 1:
             return cls([[x] for x in array.tolist()])
         return cls([list(row) for row in array.tolist()])
+
+    @classmethod
+    def from_normal_form(
+        cls, rows: Sequence[Sequence[int]], den: int
+    ) -> "RationalMatrix":
+        """The matrix ``rows / den`` for integer ``rows`` and ``den > 0``.
+
+        Each entry is normalized once with ``Fraction(num, den)``; in a
+        square matrix, an entry whose mirror across the diagonal has the
+        same numerator reuses the mirror's ``Fraction``, so a symmetric
+        result builds only its upper triangle.
+        """
+        square = len(rows) == len(rows[0])
+        data: list[list[Fraction]] = []
+        for i, row in enumerate(rows):
+            data.append(
+                [
+                    data[j][i]
+                    if square and j < i and x == rows[j][i]
+                    else Fraction(x, den)
+                    for j, x in enumerate(row)
+                ]
+            )
+        return cls._of(data)
+
+    @classmethod
+    def _of(cls, data: list[list[Fraction]]) -> "RationalMatrix":
+        """Wrap rows of canonical Fractions without re-converting them."""
+        matrix = object.__new__(cls)
+        matrix._data = data
+        matrix.rows = len(data)
+        matrix.cols = len(data[0])
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -106,6 +161,18 @@ class RationalMatrix:
     def to_float(self) -> list[list[float]]:
         """Nested lists of nearest binary doubles (lossy)."""
         return [[fraction_to_float(x) for x in row] for row in self._data]
+
+    def normal_form(self) -> tuple[list[list[int]], int]:
+        """The integer normal form ``(N, den)``: ``self[i, j] == N[i][j] / den``.
+
+        ``den`` is the LCM of the entry denominators, so it is positive
+        and 1 for an integer matrix. ``N`` is a fresh list of lists.
+        """
+        ratios = [[x.as_integer_ratio() for x in row] for row in self._data]
+        dens = {d for row in ratios for _, d in row}
+        den = math.lcm(*dens)
+        factors = {d: den // d for d in dens}
+        return [[num * factors[d] for num, d in row] for row in ratios], den
 
     def to_numpy(self):
         """Dense float ndarray (lossy)."""
@@ -172,18 +239,21 @@ class RationalMatrix:
 
     def round_sigfigs(self, sigfigs: int) -> "RationalMatrix":
         """Entrywise significant-figure rounding (the validation pipeline's knob)."""
-        return self.map(lambda x: round_sigfigs(x, sigfigs) if x else Fraction(0))
+        return RationalMatrix._of(
+            [[round_sigfigs(x, sigfigs) for x in row] for row in self._data]
+        )
 
     def symmetrize(self) -> "RationalMatrix":
-        """Return ``(M + M^T) / 2``."""
+        """Return ``(M + M^T) / 2`` (a copy of ``M`` when it is symmetric)."""
         if self.rows != self.cols:
             raise ValueError("symmetrize requires a square matrix")
-        h = Fraction(1, 2)
-        return RationalMatrix(
-            [
-                [(self._data[i][j] + self._data[j][i]) * h for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+        rows, den = self.normal_form()
+        cols = list(zip(*rows))
+        if all(row == list(col) for row, col in zip(rows, cols)):
+            return RationalMatrix._of([list(row) for row in self._data])
+        return RationalMatrix.from_normal_form(
+            [[x + y for x, y in zip(row, col)] for row, col in zip(rows, cols)],
+            2 * den,
         )
 
     # ------------------------------------------------------------------
@@ -197,8 +267,9 @@ class RationalMatrix:
         """Exact symmetry test (square and M[i,j] == M[j,i])."""
         if not self.is_square():
             return False
+        data = self._data
         return all(
-            self._data[i][j] == self._data[j][i]
+            data[i][j] is data[j][i] or data[i][j] == data[j][i]
             for i in range(self.rows)
             for j in range(i + 1, self.cols)
         )
@@ -214,31 +285,34 @@ class RationalMatrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        """``self + sign * other`` over the LCM of the two denominators."""
         self._check_same_shape(other)
-        return RationalMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._data, other._data)
-            ]
+        a, a_den = self.normal_form()
+        b, b_den = other.normal_form()
+        den = math.lcm(a_den, b_den)
+        fa, fb = den // a_den, sign * (den // b_den)
+        return RationalMatrix.from_normal_form(
+            [[x * fa + y * fb for x, y in zip(ra, rb)] for ra, rb in zip(a, b)],
+            den,
         )
 
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_same_shape(other)
-        return RationalMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._data, other._data)
-            ]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RationalMatrix":
         return self.map(lambda x: -x)
 
     def scale(self, k: Number) -> "RationalMatrix":
         """Multiply every entry by the scalar ``k``."""
-        k = to_fraction(k)
-        return self.map(lambda x: x * k)
+        k_num, k_den = to_fraction(k).as_integer_ratio()
+        rows, den = self.normal_form()
+        return RationalMatrix.from_normal_form(
+            [[x * k_num for x in row] for row in rows], den * k_den
+        )
 
     def __mul__(self, k: Number) -> "RationalMatrix":
         return self.scale(k)
@@ -249,13 +323,9 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"matmul mismatch: {self.shape} @ {other.shape}")
-        other_t = other.transpose()._data
-        return RationalMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in other_t]
-                for row in self._data
-            ]
-        )
+        a, a_den = self.normal_form()
+        b, b_den = other.normal_form()
+        return RationalMatrix.from_normal_form(int_matmul(a, b), a_den * b_den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):

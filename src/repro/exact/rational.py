@@ -12,6 +12,7 @@ symbolic checks run).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Integral, Rational
 from typing import Union
@@ -52,9 +53,37 @@ def to_fraction(value: Number) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
 
 
-def _ndigits(n: int) -> int:
-    """Number of decimal digits of a positive integer."""
-    return len(str(n))
+#: ``log10(2)``: a bit length times this estimates a decimal exponent.
+_LOG10_2 = math.log10(2)
+
+
+def _truncate(num: int, den: int, sigfigs: int) -> tuple[int, int, int, int]:
+    """``num / den`` (positive ints) cut to ``sigfigs`` significant digits.
+
+    Returns ``(digits, remainder, unit, shift)`` with ``num / den *
+    10**shift == digits + remainder / unit``, ``0 <= remainder < unit``
+    and ``10**(sigfigs-1) <= digits < 10**sigfigs``. The bit lengths
+    put ``num / den`` within a factor of two of ``2**(bits(num) -
+    bits(den))``, so the first ``shift`` is off by at most one and the
+    loop settles it exactly. No decimal string is ever built, so
+    integers of any size are fine.
+    """
+    low = 10 ** (sigfigs - 1)
+    estimate = math.floor((num.bit_length() - den.bit_length()) * _LOG10_2)
+    shift = sigfigs - 1 - estimate
+    while True:
+        if shift >= 0:
+            unit = den
+            digits, remainder = divmod(num * 10**shift, unit)
+        else:
+            unit = den * 10**-shift
+            digits, remainder = divmod(num, unit)
+        if digits < low:
+            shift += 1
+        elif digits >= 10 * low:
+            shift -= 1
+        else:
+            return digits, remainder, unit, shift
 
 
 def decimal_exponent(q: Fraction) -> int:
@@ -64,20 +93,7 @@ def decimal_exponent(q: Fraction) -> int:
     """
     if q == 0:
         raise ValueError("decimal_exponent of zero is undefined")
-    q = abs(q)
-    e = _ndigits(q.numerator) - _ndigits(q.denominator)
-    # The digit-count estimate is off by at most one; fix up exactly.
-    while _pow10(e) > q:
-        e -= 1
-    while _pow10(e + 1) <= q:
-        e += 1
-    return e
-
-
-def _pow10(e: int) -> Fraction:
-    if e >= 0:
-        return Fraction(10**e)
-    return Fraction(1, 10**-e)
+    return -_truncate(abs(q.numerator), q.denominator, 1)[3]
 
 
 def round_sigfigs(q: Fraction, sigfigs: int) -> Fraction:
@@ -86,17 +102,24 @@ def round_sigfigs(q: Fraction, sigfigs: int) -> Fraction:
     This mirrors the paper's Section VI-B: numerically synthesized
     Lyapunov matrices are rounded at the 10th (and, to probe robustness,
     6th and 4th) significant figure before exact validation. Rounding is
-    round-half-to-even, matching IEEE/Python semantics.
+    round-half-to-even, matching IEEE/Python semantics. The work is one
+    integer ``divmod`` on ``|q|`` scaled by a power of ten; the sign is
+    restored afterwards (half-even rounding is symmetric).
     """
     if sigfigs < 1:
         raise ValueError("sigfigs must be >= 1")
-    if q == 0:
+    num, den = q.numerator, q.denominator
+    if num == 0:
         return Fraction(0)
-    e = decimal_exponent(q)
-    scale = _pow10(sigfigs - 1 - e)
-    scaled = q * scale
-    # Fraction has exact round-half-even through round().
-    return Fraction(round(scaled)) / scale
+    digits, remainder, unit, shift = _truncate(abs(num), den, sigfigs)
+    twice = 2 * remainder
+    if twice > unit or (twice == unit and digits & 1):
+        digits += 1
+    if num < 0:
+        digits = -digits
+    if shift >= 0:
+        return Fraction(digits, 10**shift)
+    return Fraction(digits * 10**-shift)
 
 
 def round_to_int(q: Number) -> int:

@@ -18,17 +18,43 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exact import RationalMatrix
+from ..exact.matrix import int_matmul
 from ..lyapunov import LyapunovCandidate
 from .validators import ValidatorResult, run_validator
 
 __all__ = ["ValidationReport", "validate_candidate", "lie_derivative_exact"]
 
 
+def _lie_normal_form(
+    p: RationalMatrix, a: RationalMatrix
+) -> tuple[list[list[int]], int]:
+    """Integer normal form of ``A^T sym(P) + sym(P) A``.
+
+    With ``P = N / p_den`` and ``A = M / a_den``, ``sym(P) = (N + N^T) /
+    (2 p_den)``, so one integer product ``X = M^T (N + N^T)`` gives the
+    result as ``(X + X^T) / (2 a_den p_den)``.
+    """
+    if a.shape != p.shape or not a.is_square():
+        raise ValueError(f"A {a.shape} and P {p.shape} dimension mismatch")
+    n_p, p_den = p.normal_form()
+    n_a, a_den = a.normal_form()
+    s = [[x + y for x, y in zip(row, col)] for row, col in zip(n_p, zip(*n_p))]
+    x = int_matmul(list(zip(*n_a)), s)
+    lie = [[u + v for u, v in zip(row, col)] for row, col in zip(x, zip(*x))]
+    return lie, 2 * a_den * p_den
+
+
 def lie_derivative_exact(
     p: RationalMatrix, a: RationalMatrix
 ) -> RationalMatrix:
-    """``A^T P + P A`` over the rationals."""
-    return (a.T @ p + p @ a).symmetrize()
+    """``A^T sym(P) + sym(P) A`` over the rationals.
+
+    This is ``A^T P + P A`` for the symmetric ``P`` every candidate
+    yields; for a non-symmetric ``P`` it is the symmetric part of that
+    sum. Built from one integer product; each entry becomes a
+    ``Fraction`` once.
+    """
+    return RationalMatrix.from_normal_form(*_lie_normal_form(p, a))
 
 
 @dataclass
@@ -130,9 +156,12 @@ def validate_candidate(
             extra={"skipped": "positivity refuted"},
         )
     else:
-        lie = lie_derivative_exact(p_exact, a_exact)
+        lie, den = _lie_normal_form(p_exact, a_exact)
+        negated = RationalMatrix.from_normal_form(
+            [[-x for x in row] for row in lie], den
+        )
         decrease = run_validator(
-            validator, lie.scale(-1), fallback=fallback, **validator_options
+            validator, negated, fallback=fallback, **validator_options
         )
     return ValidationReport(
         validator=validator,

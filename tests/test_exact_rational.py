@@ -3,16 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import case_by_name
 from repro.exact import (
+    RationalMatrix,
     decimal_exponent,
     fraction_to_float,
     round_sigfigs,
     round_to_int,
     to_fraction,
 )
+from repro.lyapunov import synthesize
 
 nonzero_fractions = st.fractions(
     min_value=Fraction(-10**9), max_value=Fraction(10**9), max_denominator=10**6
@@ -112,3 +115,123 @@ class TestSmallHelpers:
 
     def test_fraction_to_float(self):
         assert fraction_to_float(Fraction(1, 4)) == 0.25
+
+
+# ----------------------------------------------------------------------
+# The integer rounding against the historical Fraction formula, kept
+# here as the oracle: digit counts from decimal strings, then
+# ``round(q * 10**k) / 10**k`` in Fraction arithmetic.
+# ----------------------------------------------------------------------
+
+def _oracle_pow10(e):
+    return Fraction(10**e) if e >= 0 else Fraction(1, 10**-e)
+
+
+def oracle_decimal_exponent(q):
+    q = abs(q)
+    e = len(str(q.numerator)) - len(str(q.denominator))
+    while _oracle_pow10(e) > q:
+        e -= 1
+    while _oracle_pow10(e + 1) <= q:
+        e += 1
+    return e
+
+
+def oracle_round_sigfigs(q, sigfigs):
+    if q == 0:
+        return Fraction(0)
+    scale = _oracle_pow10(sigfigs - 1 - oracle_decimal_exponent(q))
+    return Fraction(round(q * scale)) / scale
+
+
+def assert_same_rounding(q, sigfigs):
+    got = round_sigfigs(q, sigfigs)
+    want = oracle_round_sigfigs(q, sigfigs)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (
+        want.numerator, want.denominator
+    ), (q, sigfigs)
+
+
+sigfig_range = st.integers(min_value=1, max_value=17)
+
+
+@st.composite
+def wide_rationals(draw):
+    """Nonzero rationals with decimal exponents from about -320 to +320."""
+    num = draw(st.integers(min_value=1, max_value=10**20))
+    den = draw(st.integers(min_value=1, max_value=10**20))
+    sign = draw(st.sampled_from((1, -1)))
+    q = Fraction(sign * num, den) * Fraction(10) ** draw(
+        st.integers(min_value=-300, max_value=300)
+    )
+    return q
+
+
+class TestRoundSigfigsOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(wide_rationals(), sigfig_range)
+    def test_wide_rationals(self, q, sigfigs):
+        assert decimal_exponent(q) == oracle_decimal_exponent(q)
+        assert_same_rounding(q, sigfigs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sigfig_range,
+        st.integers(min_value=0, max_value=10**17),
+        st.integers(min_value=-40, max_value=40),
+        st.sampled_from((1, -1)),
+    )
+    def test_exact_ties(self, sigfigs, seed, exponent, sign):
+        """``d.5`` at the last kept digit: half-even for either parity."""
+        low = 10 ** (sigfigs - 1)
+        digits = low + seed % (9 * low)
+        q = sign * Fraction(2 * digits + 1, 2) * Fraction(10) ** exponent
+        assert_same_rounding(q, sigfigs)
+
+    @pytest.mark.parametrize("digits", [12, 13, 99, 10, 11])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_explicit_ties_both_parities(self, digits, sign):
+        q = sign * Fraction(2 * digits + 1, 20)  # e.g. 1.25, 1.35, 9.95
+        assert_same_rounding(q, 2)
+        expected = digits + (digits & 1)
+        assert round_sigfigs(q, 2) == sign * Fraction(expected, 10)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 9, 10, 17, 22, 100, 320])
+    def test_powers_of_ten_and_neighbours(self, k):
+        """Where the digit-length estimate is off by one."""
+        values = [Fraction(10**k), Fraction(1, 10**k)]
+        for delta in (-1, 1):
+            if 10**k + delta:
+                values += [
+                    Fraction(10**k + delta),
+                    Fraction(1, 10**k + delta),
+                    Fraction(10**k + delta, 10**k),
+                    Fraction(10**k, 10**k + delta),
+                ]
+        for q in values:
+            for sign in (1, -1):
+                assert decimal_exponent(sign * q) == oracle_decimal_exponent(q)
+                for sigfigs in range(1, 18):
+                    assert_same_rounding(sign * q, sigfigs)
+
+    def test_every_entry_of_a_size18_candidate(self):
+        a = case_by_name("size18").mode_matrix(0)
+        p = RationalMatrix.from_numpy(synthesize("eq-num", a).p)
+        for x in p.iter_entries():
+            for sigfigs in (10, 6, 4):
+                assert_same_rounding(x, sigfigs)
+
+
+class TestBigRationals:
+    """Both functions once counted digits with ``str()``, which CPython
+    3.11+ refuses beyond 4300 digits."""
+
+    def test_round_sigfigs_beyond_str_limit(self):
+        q = Fraction(10**5000 + 1, 3)
+        assert round_sigfigs(q, 4) == Fraction(3333 * 10**4996)
+
+    def test_decimal_exponent_beyond_str_limit(self):
+        assert decimal_exponent(Fraction(1, 10**5000 + 7)) == -5001
+        assert decimal_exponent(Fraction(10**5000)) == 5000
+        assert decimal_exponent(Fraction(10**5000 - 1)) == 4999
