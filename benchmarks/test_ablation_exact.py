@@ -13,6 +13,7 @@ import pytest
 
 from repro.engine import case_by_name
 from repro.exact import (
+    clear_kernel_cache,
     gauss_positive_definite,
     ldl_positive_definite,
     sylvester_positive_definite,
@@ -58,13 +59,17 @@ def test_coefficient_complexity(benchmark, sigfigs):
 def test_shape_gauss_not_slower_than_sylvester(exact_matrices):
     """Sylvester now streams all leading minors from a single Bareiss
     pass (it used to recompute each from scratch — n determinants);
-    the Gauss elimination check must stay in the same league."""
+    the Gauss elimination check must stay in the same league. Both
+    run on a cold kernel cache: the first call would otherwise cache
+    the matrix's integer form for the second."""
     import time
 
     matrix = exact_matrices["size10"]
+    clear_kernel_cache()
     start = time.perf_counter()
     gauss_positive_definite(matrix)
     gauss = time.perf_counter() - start
+    clear_kernel_cache()
     start = time.perf_counter()
     sylvester_positive_definite(matrix)
     sylvester = time.perf_counter() - start

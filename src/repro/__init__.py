@@ -42,11 +42,9 @@ from .lyapunov import (
     synthesize_piecewise,
 )
 from .reduction import balanced_truncation
-from .reach import Zonotope, compute_flowpipe, verify_invariance
 from .robust import (
     StabilityCertificate,
     certify_mode,
-    certify_region_stability,
     epsilon_radius,
     monte_carlo_epsilon_check,
     synthesize_robust_level,
@@ -99,9 +97,5 @@ __all__ = [
     "epsilon_radius",
     "StabilityCertificate",
     "certify_mode",
-    "certify_region_stability",
     "monte_carlo_epsilon_check",
-    "Zonotope",
-    "compute_flowpipe",
-    "verify_invariance",
 ]

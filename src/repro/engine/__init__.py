@@ -7,7 +7,6 @@ substitution for the paper's proprietary Spey model, see DESIGN.md);
 of Section VI-A.
 """
 
-from .archive import export_arch_benchmark, load_arch_benchmark
 from .benchmarks import MODES, BenchmarkCase, benchmark_suite, case_by_name
 from .faults import (
     NO_DESTABILIZING_MARGIN,
@@ -56,6 +55,4 @@ __all__ = [
     "fault_margin",
     "NO_DESTABILIZING_MARGIN",
     "bias_shifts_equilibrium",
-    "export_arch_benchmark",
-    "load_arch_benchmark",
 ]

@@ -28,11 +28,6 @@ from .definiteness import (
     ldl_positive_definite,
     sylvester_positive_definite,
 )
-from .kharitonov import (
-    interval_polynomial_is_hurwitz,
-    kharitonov_polynomials,
-    stability_radius_coefficients,
-)
 from .factor import (
     bareiss_determinant,
     determinant,
@@ -47,13 +42,6 @@ from .factor import (
 )
 from .matrix import RationalMatrix
 from .poly import charpoly, is_hurwitz_matrix, is_hurwitz_polynomial, poly_eval, routh_table
-from .sturm import (
-    count_real_roots,
-    eigenvalue_intervals,
-    isolate_real_roots,
-    lambda_min_bounds,
-    sturm_sequence,
-)
 from .rational import (
     Number,
     decimal_exponent,
@@ -101,12 +89,4 @@ __all__ = [
     "is_negative_definite",
     "is_negative_semidefinite",
     "definiteness_counterexample",
-    "kharitonov_polynomials",
-    "interval_polynomial_is_hurwitz",
-    "stability_radius_coefficients",
-    "sturm_sequence",
-    "count_real_roots",
-    "isolate_real_roots",
-    "eigenvalue_intervals",
-    "lambda_min_bounds",
 ]

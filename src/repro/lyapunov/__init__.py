@@ -17,12 +17,6 @@ from .cegis import (
     snap_certificate,
     verify_certificate,
 )
-from .common import CommonLyapunovResult, synthesize_common
-from .discrete import (
-    solve_stein_numeric,
-    synthesize_discrete,
-    validate_discrete_candidate,
-)
 from .equation import (
     SynthesisTimeout,
     solve_lyapunov_exact,
@@ -31,7 +25,6 @@ from .equation import (
 from .modal import modal_lyapunov
 from .piecewise import ENCODINGS, SOLVERS, PiecewiseCandidate, synthesize_piecewise
 from .quadratic import LyapunovCandidate
-from .settling import SettlingBound, settling_bound, verify_decay_rate_exact
 from .synthesis import DEFAULT_NU, LMI_METHODS, METHODS, default_alpha, synthesize
 
 __all__ = [
@@ -49,14 +42,6 @@ __all__ = [
     "synthesize_piecewise",
     "ENCODINGS",
     "SOLVERS",
-    "CommonLyapunovResult",
-    "synthesize_common",
-    "solve_stein_numeric",
-    "synthesize_discrete",
-    "validate_discrete_candidate",
-    "SettlingBound",
-    "settling_bound",
-    "verify_decay_rate_exact",
     "CenteredLmi",
     "assemble_centered_lmi",
     "seed_directions",

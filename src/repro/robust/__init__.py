@@ -3,7 +3,6 @@
 from .certificates import StabilityCertificate, certify_mode
 from .epsilon import EpsilonInputs, epsilon_radius
 from .montecarlo import MonteCarloReport, monte_carlo_epsilon_check
-from .region_stability import RegionStabilityCertificate, certify_region_stability
 from .regions import RobustRegion, check_level_robust_smt, synthesize_robust_level
 from .surface import SurfaceGeometry, surface_geometry
 from .volume import (
@@ -31,6 +30,4 @@ __all__ = [
     "certify_mode",
     "MonteCarloReport",
     "monte_carlo_epsilon_check",
-    "RegionStabilityCertificate",
-    "certify_region_stability",
 ]

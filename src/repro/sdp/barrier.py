@@ -1,7 +1,7 @@
 """Log-barrier level-shift solver for general block LMIs.
 
 A second engine for the feasibility systems of
-:mod:`repro.sdp.generic` (piecewise S-procedure, common Lyapunov). It
+:mod:`repro.sdp.generic` (piecewise S-procedure, CEGIS certificates). It
 maximizes the joint margin ``t`` in
 
     F_j(x) - t I ⪰ 0  for every block j,      |x_i| <= R,

@@ -51,12 +51,7 @@ from .terms import (
     to_dnf,
     to_nnf,
 )
-from .witness import (
-    atom_violation,
-    point_satisfies,
-    witness_point,
-    witness_violations,
-)
+from .witness import atom_violation, point_satisfies, witness_point
 
 __all__ = [
     "Term",
@@ -104,7 +99,6 @@ __all__ = [
     "check_positive_definite_icp",
     "witness_point",
     "atom_violation",
-    "witness_violations",
     "point_satisfies",
     "term_to_smtlib",
     "formula_to_smtlib",

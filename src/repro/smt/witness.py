@@ -27,7 +27,6 @@ from .terms import Atom, Relation, poly_eval, polynomial_of
 __all__ = [
     "witness_point",
     "atom_violation",
-    "witness_violations",
     "point_satisfies",
 ]
 
@@ -78,17 +77,6 @@ def point_satisfies(atom: Atom, point: dict[str, Fraction]) -> bool:
         return value == 0
     if atom.relation is Relation.LT:
         return value < 0
+    if atom.relation is Relation.NE:
+        return value != 0
     return value <= 0
-
-
-def witness_violations(
-    atoms: list[Atom], point: dict[str, Fraction]
-) -> list[Fraction]:
-    """Exact violation margins of every atom at the witness point.
-
-    A refutation query is a conjunction; the ICP solver's SAT verdict
-    claims every atom holds at the witness, i.e. every returned margin
-    is nonpositive (strict atoms: negative). The property suite checks
-    exactly that, with no float in the chain.
-    """
-    return [atom_violation(atom, point) for atom in atoms]

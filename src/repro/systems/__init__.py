@@ -1,23 +1,11 @@
 """Dynamical-systems substrate: plants, PI control, PWA systems, simulation."""
 
-from .analysis import (
-    KalmanDecomposition,
-    controllability_matrix,
-    is_controllable,
-    is_minimal,
-    is_observable,
-    kalman_decomposition,
-    observability_matrix,
-    pbh_uncontrollable_eigenvalues,
-    pbh_unobservable_eigenvalues,
-)
 from .closedloop import (
     build_closed_loop,
     closed_loop_matrices,
     fixed_mode_closed_loop,
     lift_guard,
 )
-from .discretize import DiscreteStateSpace, discretize_zoh
 from .frequency import (
     LoopMargins,
     frequency_response,
@@ -61,15 +49,4 @@ __all__ = [
     "sigma_max_response",
     "LoopMargins",
     "loop_margins",
-    "DiscreteStateSpace",
-    "discretize_zoh",
-    "controllability_matrix",
-    "observability_matrix",
-    "is_controllable",
-    "is_observable",
-    "is_minimal",
-    "KalmanDecomposition",
-    "kalman_decomposition",
-    "pbh_uncontrollable_eigenvalues",
-    "pbh_unobservable_eigenvalues",
 ]

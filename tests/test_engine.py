@@ -19,6 +19,25 @@ from repro.engine import (
 from repro.engine.model import INPUT_NAMES, OUTPUT_NAMES, STATE_NAMES
 
 
+def _pbh_deficient(a, other, stack_rows, tol=1e-9):
+    """Eigenvalues where ``[A - lambda I | B]`` (or the row-stacked dual
+    ``[A - lambda I; C]``) loses rank: the Popov-Belevitch-Hautus test,
+    robust on stiff models where Krylov-matrix ranks underflow."""
+    n = a.shape[0]
+    scale = max(float(np.linalg.norm(a, 2)), 1.0)
+    deficient = []
+    for eigenvalue in np.linalg.eigvals(a):
+        shifted = a - eigenvalue * np.eye(n)
+        pencil = (
+            np.vstack([shifted, other]) if stack_rows
+            else np.hstack([shifted, other])
+        )
+        s = np.linalg.svd(pencil, compute_uv=False)
+        if s[n - 1] <= tol * scale:
+            deficient.append(complex(eigenvalue))
+    return deficient
+
+
 class TestPlant:
     def test_signature_matches_paper(self):
         plant = build_engine_plant()
@@ -39,6 +58,15 @@ class TestPlant:
         assert np.array_equal(p1.a, p2.a)
         assert np.array_equal(p1.b, p2.b)
         assert np.array_equal(p1.c, p2.c)
+
+    def test_engine_is_minimal_pbh(self):
+        """The synthetic engine must be a minimal realization: every
+        state participates in the I/O behaviour (else balanced
+        truncation orders would be misleading). PBH is the robust test
+        for this stiff model."""
+        plant = build_engine_plant()
+        assert _pbh_deficient(plant.a, plant.b, stack_rows=False) == []
+        assert _pbh_deficient(plant.a, plant.c, stack_rows=True) == []
 
     def test_every_actuation_channel_reaches_its_output(self):
         gain = build_engine_plant().dc_gain()
@@ -150,6 +178,12 @@ class TestBenchmarkSuite:
         """Table I's precondition: all 16 single-mode benchmarks admit a
         Lyapunov function."""
         assert case_by_name(name).is_closed_loop_stable()
+
+    def test_reduced_models_stay_minimal(self):
+        for name in ("size3", "size5", "size10"):
+            plant = case_by_name(name).plant
+            assert _pbh_deficient(plant.a, plant.b, False, tol=1e-8) == [], name
+            assert _pbh_deficient(plant.a, plant.c, True, tol=1e-8) == [], name
 
     def test_closed_loop_dimension(self):
         assert case_by_name("size18").closed_loop_dimension == 21

@@ -287,43 +287,6 @@ class TestReductionMonotonicity:
         assert bounds[-1] == pytest.approx(0.0, abs=1e-9)
 
 
-class TestZonotopeSupportDuality:
-    """support_{MZ}(d) == support_Z(M^T d) — linearity of support
-    functions under linear maps."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_support_under_linear_map(self, seed):
-        from repro.reach import Zonotope
-
-        rng = np.random.default_rng(seed)
-        z = Zonotope(rng.normal(size=3), rng.normal(size=(3, 5)))
-        m = rng.normal(size=(3, 3))
-        d = rng.normal(size=3)
-        lhs = z.linear_map(m).support(d)
-        rhs = z.support(m.T @ d)
-        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
-
-
-class TestDiscretizationConsistency:
-    """ZOH at dt then at 2*dt composes: A_d(2dt) == A_d(dt)^2 and the
-    offset accumulates accordingly."""
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 10_000), st.floats(0.01, 0.5))
-    def test_semigroup_property(self, seed, dt):
-        from repro.systems import StateSpace
-        from repro.systems.discretize import discretize_zoh
-
-        a = random_stable(3, seed)
-        rng = np.random.default_rng(seed)
-        plant = StateSpace(a, rng.normal(size=(3, 1)), np.ones((1, 3)))
-        one = discretize_zoh(plant, dt)
-        two = discretize_zoh(plant, 2 * dt)
-        assert np.allclose(two.a, one.a @ one.a, atol=1e-9)
-        assert np.allclose(two.b, one.a @ one.b + one.b, atol=1e-9)
-
-
 class TestExactRoundingMonotonicity:
     """Rounding a validated candidate at MORE significant figures can
     never turn a valid verdict invalid while fewer figures stay valid

@@ -18,6 +18,7 @@ from repro.smt import (
     Relation,
     Var,
     affine_term,
+    point_satisfies,
     poly_degree,
     poly_eval,
     poly_free_vars,
@@ -167,3 +168,21 @@ class TestNormalForms:
 
     def test_dnf_true(self):
         assert to_dnf(TRUE) == [[]]
+
+
+class TestPointSatisfies:
+    @pytest.mark.parametrize(
+        "relation, satisfied, violated",
+        [
+            (Relation.LE, [-1, 0], [1]),
+            (Relation.LT, [-1], [0, 1]),
+            (Relation.EQ, [0], [-1, 1]),
+            (Relation.NE, [-1, 1], [0]),
+        ],
+    )
+    def test_each_relation(self, relation, satisfied, violated):
+        atom = Atom(x - 5, relation)
+        for offset in satisfied:
+            assert point_satisfies(atom, {"x": Fraction(5 + offset)})
+        for offset in violated:
+            assert not point_satisfies(atom, {"x": Fraction(5 + offset)})

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.smt import Relation, SmtSolver, Var
+from repro.smt import Relation, Var, point_satisfies
 from repro.systems import HalfSpace, PolyhedralRegion
 
 
@@ -40,16 +40,12 @@ class TestHalfSpace:
 
     def test_to_atom_agrees_with_contains(self):
         h = HalfSpace((1, -1), 2, strict=True)
-        variables = [Var("w0"), Var("w1")]
-        atom = h.to_atom(variables)
-        # The atom is the membership condition; check with the SMT solver
-        # at pinned points.
+        atom = h.to_atom([Var("w0"), Var("w1")])
+        # The atom is the membership condition; evaluate it exactly at
+        # pinned points.
         for point, expected in [((0, 0), True), ((0, 3), False), ((0, 2), False)]:
-            from repro.smt import And
-
-            pin = [variables[i].eq(point[i]) for i in range(2)]
-            result = SmtSolver().check(And(tuple(pin + [atom])))
-            assert result.is_sat == expected
+            assignment = {f"w{i}": Fraction(v) for i, v in enumerate(point)}
+            assert point_satisfies(atom, assignment) == expected
             assert h.contains(list(point)) == expected
 
     def test_boundary_atom(self):
