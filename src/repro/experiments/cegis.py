@@ -43,8 +43,6 @@ def run_cegis(
     snap: str = "structured",
     max_rounds: int = 40,
     max_iterations: int = 30_000,
-    refute: bool = False,
-    icp_backend: str = "auto",
     engine=None,
 ) -> list[CegisRecord]:
     """Run the CEGIS grid as a resumable/sharded campaign.
@@ -62,7 +60,6 @@ def run_cegis(
             case_name=name, size=case_by_name(name).size,
             regime=regime, synthesis=synthesis, snap=snap,
             max_rounds=max_rounds, max_iterations=max_iterations,
-            refute=refute, icp_backend=icp_backend,
         )
         for name in case_names
         for regime, synthesis in grid

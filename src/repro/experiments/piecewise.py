@@ -27,7 +27,6 @@ def run_piecewise(
     conditions_scope: str = "surface",
     solver: str = "hybrid",
     oracle_batch: bool = True,
-    icp_backend: str = "auto",
     engine=None,
 ) -> list[PiecewiseRecord]:
     """Run the synthesis+validation grid.
@@ -36,10 +35,9 @@ def run_piecewise(
     tensorized ellipsoid burn-in + warm-started barrier polish,
     ``"ellipsoid"`` = certifying deep-cut method alone, ``"barrier"`` =
     level-shift candidate finder); ``oracle_batch=False`` falls back to
-    the per-block differential separation oracle. ``icp_backend``
-    selects the validation refuter engine (``"auto"|"scalar"|"batched"``).
-    ``engine`` (a :class:`repro.service.CampaignEngine`; ``None`` runs
-    in-process) carries the runner context.
+    the per-block differential separation oracle. ``engine`` (a
+    :class:`repro.service.CampaignEngine`; ``None`` runs in-process)
+    carries the runner context.
     """
     from ..runner import PiecewiseTask
     from ..service.engine import CampaignEngine
@@ -50,7 +48,6 @@ def run_piecewise(
             max_iterations=max_iterations, max_boxes=max_boxes,
             conditions_scope=conditions_scope,
             solver=solver, oracle_batch=oracle_batch,
-            icp_backend=icp_backend,
         )
         for name in case_names
         for encoding in encodings

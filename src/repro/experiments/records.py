@@ -140,7 +140,6 @@ class CegisRecord:
     proved_infeasible: bool
     synth_time: float
     verify_time: float
-    refute_time: float
     total_time: float
     #: SHA-256 of the deterministic structural provenance (statuses,
     #: per-round verdicts, cut fingerprints — no wall times).

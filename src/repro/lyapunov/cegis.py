@@ -32,13 +32,15 @@ left open (Ravanbakhsh & Sankaranarayanan; Ahmed, Peruffo & Abate):
   P̄_1 + P̄_1 Ā_1) - E^T W E - eps J_c`` (and the two mode-0 blocks)
   for positive definiteness by Sylvester's criterion on the integer
   Bareiss kernels: an exact decision either way, with no search budget
-  (pointwise ICP region queries are kept as the *refuter* only: cheap
-  SAT witnesses, never the acceptance path);
+  (the pointwise ICP refuter :func:`refute_certificate` is never on the
+  acceptance path; the test suite uses it as an independent oracle
+  against accepted certificates);
 * **the CEGIS loop** — with ``synthesis="sampled"`` the synthesizer
   never sees the hard ``(d+1)``-dimensional mode-1 matrix blocks: it
   solves a finite relaxation over *sampled directions* (1x1 cuts), the
-  verifier checks the full matrices, and every refutation direction
-  becomes a new cut, deduplicated by normalized-direction fingerprint.
+  verifier checks the full matrices, and the min-eigenvector of every
+  refuted mode-1 block becomes a new cut, deduplicated by
+  normalized-direction fingerprint.
   ``synthesis="full"`` keeps the matrix blocks in the synthesizer (the
   one-shot path used by the benchmarks).
 
@@ -594,13 +596,6 @@ class CegisWitness:
     violation: Fraction
     status: str
 
-    def direction(self) -> np.ndarray:
-        """The augmented ray ``w̄`` of the witness (for a sampled cut)."""
-        names = sorted(self.point, key=lambda s: int(s[1:]))
-        return np.array(
-            [float(self.point[name]) for name in names] + [1.0]
-        )
-
 
 def refute_certificate(
     certificate: PiecewiseCertificate,
@@ -608,8 +603,6 @@ def refute_certificate(
     box_radius: float = 12.0,
     max_boxes: int = 20_000,
     delta: float = 1e-6,
-    backend: str = "auto",
-    conditions: tuple = ("pos1", "dec1"),
 ) -> list[CegisWitness]:
     """Hunt pointwise counterexamples in the mode-1 region via ICP.
 
@@ -624,7 +617,7 @@ def refute_certificate(
     variables = [Var(f"w{i}") for i in range(d)]
     region = system.modes[1].region.to_atoms(variables)
     box = Box.cube([v.name for v in variables], -box_radius, box_radius)
-    solver = IcpSolver(delta=delta, max_boxes=max_boxes, backend=backend)
+    solver = IcpSolver(delta=delta, max_boxes=max_boxes)
     flow1 = system.modes[1].flow
     a1_bar = _augmented_flow_exact(flow1, d)
     lie1 = (
@@ -636,8 +629,7 @@ def refute_certificate(
         "dec1": (_augmented_term(lie1, variables), -1),
     }
     witnesses: list[CegisWitness] = []
-    for condition in conditions:
-        term, sign = queries[condition]
+    for condition, (term, sign) in queries.items():
         # pos1 fails where V1 <= 0; dec1 fails where Lie V1 >= 0.
         query = Atom(term if sign > 0 else -term, Relation.LE)
         result = solver.check(region + [query], box)
@@ -685,11 +677,9 @@ class CegisRound:
     polished: bool
     proved_infeasible: bool
     checks: dict = field(default_factory=dict)
-    witnesses: int = 0
     new_cuts: list = field(default_factory=list)
     cut_total: int = 0
     verify_time: float = 0.0
-    refute_time: float = 0.0
 
 
 @dataclass
@@ -744,7 +734,9 @@ class CegisOutcome:
                     "checks": {
                         k: r.checks[k] for k in sorted(r.checks)
                     },
-                    "witnesses": r.witnesses,
+                    # The loop takes no pointwise witnesses; the key
+                    # stays, at 0, so the pinned digests still match.
+                    "witnesses": 0,
                     "new_cuts": [
                         [name, list(direction)]
                         for name, direction in r.new_cuts
@@ -776,10 +768,6 @@ def cegis_piecewise(
     max_iterations: int = 30_000,
     polish_outer: int = 60,
     target_margin: float = 0.5,
-    refute: bool = False,
-    refute_max_boxes: int = 20_000,
-    refute_box_radius: float = 12.0,
-    icp_backend: str = "auto",
     warm_start: bool = True,
     fingerprint_digits: int = 6,
     lmi: CenteredLmi | None = None,
@@ -793,9 +781,8 @@ def cegis_piecewise(
     level-shift barrier; (2) snap the iterate to an exact rational
     certificate; (3) verify it exactly (:func:`verify_certificate`);
     (4) on refutation, convert every counterexample direction (the
-    min-eigenvectors of refuted mode-1 blocks, plus pointwise ICP
-    witnesses when ``refute=``) into a sampled 1x1 cut, deduplicated by
-    normalized-direction fingerprint, and resynthesize.
+    min-eigenvectors of refuted mode-1 blocks) into a sampled 1x1 cut,
+    deduplicated by normalized-direction fingerprint, and resynthesize.
 
     An ellipsoid infeasibility proof short-circuits the loop with
     status ``"infeasible"`` — on the paper's nominal references this
@@ -882,19 +869,6 @@ def cegis_piecewise(
                 "dec1",
             ):
                 directions.append((check.name, check.direction))
-        if refute:
-            refute_start = time.perf_counter()
-            witnesses = refute_certificate(
-                certificate,
-                system,
-                box_radius=refute_box_radius,
-                max_boxes=refute_max_boxes,
-                backend=icp_backend,
-            )
-            record.refute_time = time.perf_counter() - refute_start
-            record.witnesses = len(witnesses)
-            for witness in witnesses:
-                directions.append((witness.condition, witness.direction()))
         new_cuts: list[LmiBlock] = []
         for name, direction in directions:
             block = lmi.pos1 if name == "pos1" else lmi.dec1

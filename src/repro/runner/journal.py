@@ -192,7 +192,14 @@ def decode_value(payload: Any) -> Any:
             raise ValueError(f"unknown record type {payload['__rec__']!r}")
         return cls(**{k: decode_value(v) for k, v in payload["f"].items()})
     if "__pkl__" in payload:
-        return pickle.loads(base64.b64decode(payload["__pkl__"]))
+        value = pickle.loads(base64.b64decode(payload["__pkl__"]))
+        # A record pickled under an older field layout would load
+        # half-stale; reject it as "__rec__" does, so its task re-runs.
+        if is_dataclass(value) and set(vars(value)) != {
+            f.name for f in fields(value)
+        }:
+            raise ValueError(f"stale {type(value).__name__} field layout")
+        return value
     raise ValueError(f"unknown journal payload keys {sorted(payload)}")
 
 

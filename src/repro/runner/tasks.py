@@ -406,7 +406,7 @@ class PiecewiseTask(Task):
 
     def __init__(self, case_name, size, encoding, max_iterations,
                  max_boxes, conditions_scope, solver="hybrid",
-                 oracle_batch=True, icp_backend="auto"):
+                 oracle_batch=True):
         self.case_name = case_name
         self.size = size
         self.encoding = encoding
@@ -415,7 +415,6 @@ class PiecewiseTask(Task):
         self.conditions_scope = conditions_scope
         self.solver = solver
         self.oracle_batch = oracle_batch
-        self.icp_backend = icp_backend
 
     def key(self):
         return {"case": self.case_name, "encoding": self.encoding}
@@ -434,7 +433,6 @@ class PiecewiseTask(Task):
             system,
             conditions_scope=self.conditions_scope,
             max_boxes=self.max_boxes,
-            icp_backend=self.icp_backend,
         )
         return PiecewiseRecord(
             case=self.case_name,
@@ -489,8 +487,7 @@ class CegisTask(Task):
     """
 
     def __init__(self, case_name, size, regime, synthesis="sampled",
-                 snap="structured", max_rounds=40, max_iterations=30_000,
-                 refute=False, icp_backend="auto"):
+                 snap="structured", max_rounds=40, max_iterations=30_000):
         self.case_name = case_name
         self.size = size
         self.regime = regime
@@ -498,8 +495,6 @@ class CegisTask(Task):
         self.snap = snap
         self.max_rounds = max_rounds
         self.max_iterations = max_iterations
-        self.refute = refute
-        self.icp_backend = icp_backend
 
     def key(self):
         return {
@@ -521,8 +516,6 @@ class CegisTask(Task):
             snap=self.snap,
             max_rounds=self.max_rounds,
             max_iterations=self.max_iterations,
-            refute=self.refute,
-            icp_backend=self.icp_backend,
         )
         last = outcome.rounds[-1] if outcome.rounds else None
         failed = []
@@ -544,7 +537,6 @@ class CegisTask(Task):
             proved_infeasible=outcome.status == "infeasible",
             synth_time=sum(r.synth_time for r in outcome.rounds),
             verify_time=sum(r.verify_time for r in outcome.rounds),
-            refute_time=sum(r.refute_time for r in outcome.rounds),
             total_time=outcome.total_time,
             digest=outcome.digest(),
             failed_checks=failed,
@@ -556,7 +548,7 @@ class CegisTask(Task):
             synthesis=self.synthesis, snap=self.snap,
             status="aborted", rounds=0, cuts=0,
             validated=False, proved_infeasible=False,
-            synth_time=elapsed, verify_time=0.0, refute_time=0.0,
+            synth_time=elapsed, verify_time=0.0,
             total_time=elapsed, digest="", failed_checks=[reason],
         )
 

@@ -22,7 +22,6 @@ __all__ = [
     "LinearConstraint",
     "LinearResult",
     "solve_linear",
-    "check_atoms_linear",
     "check_farkas_certificate",
 ]
 
@@ -307,20 +306,3 @@ def check_farkas_certificate(
     if any(value != 0 for value in combined.values()):
         return False
     return constant > 0 or (strict_involved and constant == 0)
-
-
-def check_atoms_linear(atoms: Sequence[Atom]) -> LinearResult:
-    """Feasibility of a conjunction of (affine) atoms, with NE case-split.
-
-    Disequalities are handled by trying ``< 0`` then ``> 0`` branches.
-    """
-    ne_atoms = [a for a in atoms if a.relation is Relation.NE]
-    base = [a for a in atoms if a.relation is not Relation.NE]
-    if not ne_atoms:
-        return solve_linear([LinearConstraint.from_atom(a) for a in base])
-    first, rest = ne_atoms[0], ne_atoms[1:]
-    for branch in (Atom(first.lhs, Relation.LT), Atom(-first.lhs, Relation.LT)):
-        result = check_atoms_linear(list(base) + [branch] + rest)
-        if result.satisfiable:
-            return result
-    return LinearResult(False)

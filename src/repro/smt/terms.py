@@ -1,13 +1,12 @@
-"""Term and formula language for the mini-SMT layer (QF_NRA fragment).
+"""Term and atom language for the mini-SMT layer (QF_NRA fragment).
 
 The library's symbolic validation queries — "is this quadratic form
 positive on the unit sphere?", "does the flow point inward on this part
-of the switching surface?" — are expressed as quantifier-free formulas
-over polynomial real arithmetic. This module provides the term AST,
-formula connectives, exact evaluation, and normalization of terms into
-sparse polynomials (monomial dictionaries), which is the form the
-decision procedures in :mod:`repro.smt.icp` and
-:mod:`repro.smt.linear` consume.
+of the switching surface?" — are expressed as conjunctions of
+polynomial atoms over the reals. This module provides the term AST,
+atoms, exact evaluation, and normalization of terms into sparse
+polynomials (monomial dictionaries), which is the form the decision
+procedures in :mod:`repro.smt.icp` and :mod:`repro.smt.linear` consume.
 """
 
 from __future__ import annotations
@@ -28,12 +27,6 @@ __all__ = [
     "Pow",
     "Relation",
     "Atom",
-    "Formula",
-    "And",
-    "Or",
-    "Not",
-    "TRUE",
-    "FALSE",
     "Polynomial",
     "Monomial",
     "polynomial_of",
@@ -43,8 +36,6 @@ __all__ = [
     "poly_free_vars",
     "quadratic_form_term",
     "affine_term",
-    "to_nnf",
-    "to_dnf",
 ]
 
 
@@ -160,7 +151,7 @@ class Pow(Term):
 
 
 # ----------------------------------------------------------------------
-# Atoms and formulas
+# Atoms
 # ----------------------------------------------------------------------
 class Relation(Enum):
     """Relations are normalized to ``term <rel> 0``."""
@@ -191,47 +182,6 @@ class Atom:
 
     def __repr__(self) -> str:
         return f"{self.lhs!r} {self.relation.value} 0"
-
-
-@dataclass(frozen=True)
-class And:
-    """Conjunction of formulas."""
-    args: tuple["Formula", ...]
-
-    def __repr__(self) -> str:
-        return "(and " + " ".join(map(repr, self.args)) + ")"
-
-
-@dataclass(frozen=True)
-class Or:
-    """Disjunction of formulas."""
-    args: tuple["Formula", ...]
-
-    def __repr__(self) -> str:
-        return "(or " + " ".join(map(repr, self.args)) + ")"
-
-
-@dataclass(frozen=True)
-class Not:
-    """Negation of a formula."""
-    arg: "Formula"
-
-    def __repr__(self) -> str:
-        return f"(not {self.arg!r})"
-
-
-@dataclass(frozen=True)
-class _Bool:
-    value: bool
-
-    def __repr__(self) -> str:
-        return "true" if self.value else "false"
-
-
-TRUE = _Bool(True)
-FALSE = _Bool(False)
-
-Formula = Union[Atom, And, Or, Not, _Bool]
 
 
 # ----------------------------------------------------------------------
@@ -374,57 +324,3 @@ def affine_term(
     if constant or not parts:
         parts.append(Const(constant))
     return Add(tuple(parts)) if len(parts) > 1 else parts[0]
-
-
-# ----------------------------------------------------------------------
-# Normal forms
-# ----------------------------------------------------------------------
-def to_nnf(formula: Formula, negate: bool = False) -> Formula:
-    """Negation normal form (negations pushed onto atoms)."""
-    if isinstance(formula, _Bool):
-        return _Bool(formula.value != negate)
-    if isinstance(formula, Atom):
-        return formula.negate() if negate else formula
-    if isinstance(formula, Not):
-        return to_nnf(formula.arg, not negate)
-    if isinstance(formula, And):
-        args = tuple(to_nnf(a, negate) for a in formula.args)
-        return Or(args) if negate else And(args)
-    if isinstance(formula, Or):
-        args = tuple(to_nnf(a, negate) for a in formula.args)
-        return And(args) if negate else Or(args)
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def to_dnf(formula: Formula) -> list[list[Atom]]:
-    """Disjunctive normal form as a list of conjunctions of atoms.
-
-    Constants are simplified away; an empty list means FALSE, and a
-    disjunct that is an empty list means TRUE. Worst-case exponential —
-    the validation formulas this library generates are small.
-    """
-    nnf = to_nnf(formula)
-
-    def walk(f: Formula) -> list[list[Atom]]:
-        if isinstance(f, _Bool):
-            return [[]] if f.value else []
-        if isinstance(f, Atom):
-            return [[f]]
-        if isinstance(f, Or):
-            out: list[list[Atom]] = []
-            for arg in f.args:
-                out.extend(walk(arg))
-            return out
-        if isinstance(f, And):
-            disjuncts: list[list[Atom]] = [[]]
-            for arg in f.args:
-                arg_disjuncts = walk(arg)
-                disjuncts = [
-                    d + a for d in disjuncts for a in arg_disjuncts
-                ]
-                if not disjuncts:
-                    return []
-            return disjuncts
-        raise TypeError(f"unexpected node in NNF: {f!r}")
-
-    return walk(nnf)

@@ -1,15 +1,18 @@
 """Witness extraction and exact-point evaluation for refutation results.
 
-The CEGIS loop (:mod:`repro.lyapunov.cegis`) drives the ICP refuter
-against candidate certificates and must turn every refutation into two
+The pointwise refuter :func:`repro.lyapunov.cegis.refute_certificate`
+runs ICP against a certificate and turns every refutation into two
 artifacts:
 
 * an *exact rational point* inside the refuting box, suitable for
-  re-evaluation with :mod:`repro.exact` arithmetic and for conversion
-  into a sampled LMI cut, and
+  re-evaluation with :mod:`repro.exact` arithmetic, and
 * the *exact violation margins* of the refuted atoms at that point, so
   the soundness test suite can assert (without floats) that the witness
   really falsifies the claimed condition.
+
+The CEGIS loop takes its cuts from the exact verifier, not from these
+witnesses; the refuter is the test suite's independent oracle against
+accepted certificates.
 
 Both live here, next to the solver, because they only depend on the
 term/ICP layer: a witness is just a complete rational assignment and an

@@ -115,20 +115,17 @@ def validate_piecewise(
     max_boxes: int = 6_000,
     delta: float = 1e-6,
     conditions_scope: str = "all",
-    icp_backend: str = "auto",
 ) -> PiecewiseValidation:
     """Refute or (boundedly) verify every piecewise Lyapunov condition.
 
     ``conditions_scope="surface"`` restricts the check to the two
     switching-surface conditions — the decisive (and fast-to-refute)
     ones; ``"all"`` additionally probes region positivity and decrease.
-    ``icp_backend`` selects the refuter engine
-    (``"auto"|"scalar"|"batched"``, see :mod:`repro.smt.icp`).
     """
     start = time.perf_counter()
     d = system.dimension
     variables = [Var(f"w{i}") for i in range(d)]
-    solver = IcpSolver(delta=delta, max_boxes=max_boxes, backend=icp_backend)
+    solver = IcpSolver(delta=delta, max_boxes=max_boxes)
     w_star = system.modes[0].flow.equilibrium()
     if box_radius is None:
         scale = max(float(np.abs(m.flow.equilibrium()).max()) for m in system.modes)

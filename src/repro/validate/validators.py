@@ -26,8 +26,8 @@ The three exact validators accept a ``backend`` option
 backend="int")`` decides the same verdict from integer kernels after a
 single denominator clearing, while ``backend="fraction"`` pins the
 historical Fraction oracle — the pair powers the differential tests.
-The ICP validators accept ``icp_backend``
-(``"auto"|"scalar"|"batched"``) selecting the refuter engine.
+The ICP validators run :func:`~repro.smt.check_positive_definite_icp`
+on its default engine.
 
 **Graceful degradation.** Verdicts must survive a flaky backend, so
 failures degrade along two chains (opt out with ``fallback=False``,
@@ -153,7 +153,6 @@ def _icp_validator(plus_det: bool):
         matrix: RationalMatrix,
         max_boxes: int = 200_000,
         delta: float = 1e-7,
-        icp_backend: str = "auto",
         **_options,
     ):
         outcome = check_positive_definite_icp(
@@ -161,7 +160,6 @@ def _icp_validator(plus_det: bool):
             plus_det=plus_det,
             delta=delta,
             max_boxes=max_boxes,
-            backend=icp_backend,
         )
         witness = None
         if outcome.counterexample is not None:

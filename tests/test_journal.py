@@ -25,6 +25,23 @@ from repro.runner import (
 from repro.runner.journal import decode_value, encode_value
 
 
+#: A CegisTask journal line byte for byte as commit ``8d9fd72`` wrote
+#: it: its pickled ``CegisRecord`` carries a refute-phase timer field
+#: that the class no longer declares, so replay must skip it.
+PARENT_CEGIS_LINE = (
+    b'{"v":1,"fp":"fp0","kind":"CegisTask","status":"ok","attempts":1,'
+    b'"error":null,"result":{"__pkl__":"'
+    b"gAWVRQEAAAAAAACMGXJlcHJvLmV4cGVyaW1lbnRzLnJlY29yZHOUjAtDZWdpc1Jl"
+    b"Y29yZJSTlCmBlH2UKIwEY2FzZZSMBXNpemUzlIwEc2l6ZZRLA4wGcmVnaW1llIwK"
+    b"YXR0cmFjdGluZ5SMCXN5bnRoZXNpc5SMBGZ1bGyUjARzbmFwlIwKc3RydWN0dXJl"
+    b"ZJSMBnN0YXR1c5SMCXZhbGlkYXRlZJSMBnJvdW5kc5RLAYwEY3V0c5RLAGgPiIwR"
+    b"cHJvdmVkX2luZmVhc2libGWUiYwKc3ludGhfdGltZZRHP+AAAAAAAACMC3Zlcmlm"
+    b"eV90aW1llEc/uZmZmZmZmowLcmVmdXRlX3RpbWWURwAAAAAAAAAAjAp0b3RhbF90"
+    b"aW1llEc/4zMzMzMzM4wGZGlnZXN0lIwCYWKUjA1mYWlsZWRfY2hlY2tzlF2UdWIu"
+    b'"}}\n'
+)
+
+
 class SpecTask(Task):
     """A task whose fingerprint spec is exactly its constructor kwargs."""
 
@@ -247,7 +264,10 @@ class TestJournalFile:
         with Journal(path) as journal:
             journal.record("fp1", "Echo", "ok", 1)
         raw = path.read_bytes()
-        path.write_bytes(b'{"not": "an entry"}\n' + b"garbage{{{\n" + raw)
+        path.write_bytes(
+            b'{"not": "an entry"}\n' + b"garbage{{{\n"
+            + PARENT_CEGIS_LINE + raw
+        )
         with Journal(path, resume=True) as journal:
             assert len(journal) == 1
             assert journal.get("fp1").result == 1

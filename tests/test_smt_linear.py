@@ -11,7 +11,6 @@ from repro.smt import (
     LinearConstraint,
     Relation,
     Var,
-    check_atoms_linear,
     polynomial_of,
     solve_linear,
 )
@@ -151,29 +150,7 @@ class TestSolveLinear:
         """Constraints pinning an integer point are always satisfiable."""
         px, py = point
         atoms = [x.eq(px), y.eq(py), (x + y) <= px + py, x <= px]
-        result = check_atoms_linear(atoms)
+        result = solve_linear(constraints(*atoms))
         assert result.satisfiable
         assert result.model["x"] == px and result.model["y"] == py
 
-
-class TestDisequalities:
-    def test_ne_split(self):
-        atoms = [x.eq(0).negate(), x <= 1, x >= -1]
-        result = check_atoms_linear(atoms)
-        assert result.satisfiable
-        assert result.model["x"] != 0
-
-    def test_ne_forces_unsat(self):
-        atoms = [x.eq(0), Atom(x, Relation.NE)]
-        assert not check_atoms_linear(atoms).satisfiable
-
-    def test_multiple_ne(self):
-        atoms = [
-            Atom(x, Relation.NE),
-            Atom(x - 1, Relation.NE),
-            x >= 0,
-            x <= 1,
-        ]
-        result = check_atoms_linear(atoms)
-        assert result.satisfiable
-        assert result.model["x"] not in (0, 1)

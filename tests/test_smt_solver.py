@@ -1,68 +1,9 @@
-"""Tests for the combined SMT front-end (repro.smt.solver, .encodings)."""
+"""Tests for the ICP definiteness encodings (repro.smt.encodings)."""
 
 import pytest
 
 from repro.exact import RationalMatrix, sylvester_positive_definite
-from repro.smt import (
-    And,
-    Box,
-    Not,
-    Or,
-    SmtSolver,
-    SmtStatus,
-    Var,
-    check_positive_definite_icp,
-)
-
-x, y = Var("x"), Var("y")
-
-
-class TestSolverDispatch:
-    def test_linear_sat(self):
-        result = SmtSolver().check(And((x <= 1, x >= 0)))
-        assert result.is_sat
-        assert 0 <= result.model["x"] <= 1
-
-    def test_linear_unsat(self):
-        result = SmtSolver().check(And((x < 0, x > 0)))
-        assert result.is_unsat
-
-    def test_disjunction(self):
-        f = Or((And((x < 0, x > 0)), x.eq(7)))
-        result = SmtSolver().check(f)
-        assert result.is_sat
-        assert result.model["x"] == 7
-
-    def test_nonlinear_needs_box(self):
-        with pytest.raises(ValueError):
-            SmtSolver().check(And(((x * x) <= 0, (x * x) >= 1)))
-
-    def test_nonlinear_unsat(self):
-        f = And(((x * x + 1) <= 0,))
-        result = SmtSolver().check(f, Box.cube(["x"], -10.0, 10.0))
-        assert result.is_unsat
-
-    def test_nonlinear_sat(self):
-        f = And(((x * x - 4).eq(0), x >= 0))
-        result = SmtSolver().check(f, Box.cube(["x"], -5.0, 5.0))
-        # x = 2 is rational: solver should find it exactly or delta-sat it.
-        assert result.status in (SmtStatus.SAT, SmtStatus.DELTA_SAT)
-
-    def test_nonlinear_ne_case_split(self):
-        f = And((Not((x * x).eq(0)), (x * x) <= 1))
-        result = SmtSolver().check(f, Box.cube(["x"], -2.0, 2.0))
-        assert result.is_sat
-        assert result.model["x"] != 0
-
-    def test_empty_conjunction_is_sat(self):
-        result = SmtSolver().check_conjunction([])
-        assert result.is_sat
-
-    def test_mixed_statuses_prefer_delta(self):
-        # One conjunct unsat, another only delta-decidable.
-        f = Or((And((x < 0, x > 0)), And(((x * x - 2).eq(0),))))
-        result = SmtSolver().check(f, Box.cube(["x"], 0.0, 2.0))
-        assert result.status is SmtStatus.DELTA_SAT
+from repro.smt import check_positive_definite_icp
 
 
 class TestDefinitenessEncoding:

@@ -1,4 +1,4 @@
-"""Tests for the term/formula language (repro.smt.terms)."""
+"""Tests for the term/atom language (repro.smt.terms)."""
 
 from fractions import Fraction
 
@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 
 from repro.exact import RationalMatrix
 from repro.smt import (
-    FALSE,
-    TRUE,
-    And,
     Atom,
     Const,
-    Not,
-    Or,
     Relation,
     Var,
     affine_term,
@@ -25,8 +20,6 @@ from repro.smt import (
     poly_is_linear,
     polynomial_of,
     quadratic_form_term,
-    to_dnf,
-    to_nnf,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -136,38 +129,11 @@ class TestBuilders:
 
 
 class TestNormalForms:
-    def test_nnf_pushes_negation(self):
-        f = Not(And((x <= 0, y <= 0)))
-        nnf = to_nnf(f)
-        assert isinstance(nnf, Or)
-        assert all(isinstance(a, Atom) for a in nnf.args)
-        assert {a.relation for a in nnf.args} == {Relation.LT}
-
-    def test_nnf_double_negation(self):
-        f = Not(Not(x <= 0))
-        assert to_nnf(f) == (x <= 0)
-
-    def test_nnf_constants(self):
-        assert to_nnf(Not(TRUE)) == FALSE
-
     def test_negate_atom_relations(self):
         assert (x <= 0).negate().relation is Relation.LT
         assert (x < 0).negate().relation is Relation.LE
         assert x.eq(0).negate().relation is Relation.NE
         assert x.eq(0).negate().negate().relation is Relation.EQ
-
-    def test_dnf_distribution(self):
-        f = And((Or((x <= 0, y <= 0)), z <= 0))
-        disjuncts = to_dnf(f)
-        assert len(disjuncts) == 2
-        assert all(len(d) == 2 for d in disjuncts)
-
-    def test_dnf_false(self):
-        assert to_dnf(FALSE) == []
-        assert to_dnf(And((FALSE, x <= 0))) == []
-
-    def test_dnf_true(self):
-        assert to_dnf(TRUE) == [[]]
 
 
 class TestPointSatisfies:
