@@ -28,15 +28,6 @@ backoff; ``--no-fallback`` disarms the validator degradation chains
 (see :mod:`repro.validate.validators`). A one-line campaign summary
 (tasks run / replayed / retried / degraded) prints after each
 experiment's table.
-
-``--shards N`` (or the ``REPRO_SHARDS`` env override) routes each
-campaign through the fault-tolerant shard supervisor
-(:mod:`repro.runner.shard`): the grid is partitioned by fingerprint
-hash into N independently-journaled shard processes with heartbeat
-leases, work-stealing and requeue-on-shard-death; per-shard journals
-merge deterministically back into ``--journal``. ``--watch`` renders a
-live plaintext dashboard (to stderr) while a sharded campaign runs;
-``--lease-ttl``/``--heartbeat`` tune the death-detection window.
 """
 
 from __future__ import annotations
@@ -74,8 +65,6 @@ def _engine(args, timing, campaign) -> CampaignEngine:
         timing=timing,
         journal=campaign.journal,
         retry=campaign.retry,
-        shards=args.shards,
-        shard_opts=campaign.shard_opts,
     )
     engine.stats = campaign.stats
     return engine
@@ -94,11 +83,6 @@ class _Campaign:
         )
         self.stats = CampaignStats()
         self.fallback = not args.no_fallback
-        self.shard_opts = {
-            "heartbeat_s": args.heartbeat,
-            "lease_ttl": args.lease_ttl,
-            "watch": True if args.watch else None,
-        }
 
 
 def _table1(args, timing, campaign) -> str:
@@ -260,24 +244,6 @@ def main(argv: list[str] | None = None) -> int:
         help="disarm the kernel-backend fallback and validator "
         "escalation chains (failures propagate)",
     )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition each campaign across N fault-tolerant shard "
-        "processes (default: REPRO_SHARDS env, else unsharded)",
-    )
-    parser.add_argument(
-        "--watch", action="store_true",
-        help="render a live per-shard progress dashboard to stderr "
-        "(sharded campaigns only)",
-    )
-    parser.add_argument(
-        "--heartbeat", type=float, default=0.5, metavar="SECONDS",
-        help="shard heartbeat-lease rewrite interval",
-    )
-    parser.add_argument(
-        "--lease-ttl", type=float, default=10.0, metavar="SECONDS",
-        help="declare a shard dead when its lease is older than this",
-    )
     args = parser.parse_args(argv)
     if args.resume and not args.journal:
         parser.error("--resume requires --journal")
@@ -295,15 +261,11 @@ def main(argv: list[str] | None = None) -> int:
             text = COMMANDS[name](args, timing, campaign)
             elapsed = time.perf_counter() - started
             if timing is not None:
-                from ..runner import resolve_shards
-
-                shard_count = resolve_shards(args.shards)
                 write_bench(
                     args.bench, name, timing,
                     jobs=resolve_jobs(args.jobs), quick=args.quick,
                     total_wall_s=elapsed,
                     stats=campaign.stats,
-                    shards=shard_count if shard_count > 1 else None,
                 )
             print(text)
             # Campaign counters go to the terminal only, never into the

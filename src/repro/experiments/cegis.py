@@ -45,7 +45,7 @@ def run_cegis(
     max_iterations: int = 30_000,
     engine=None,
 ) -> list[CegisRecord]:
-    """Run the CEGIS grid as a resumable/sharded campaign.
+    """Run the CEGIS grid as a resumable campaign.
 
     Every ``(case, regime, synthesis)`` cell is one
     :class:`~repro.runner.CegisTask`; ``engine`` (a

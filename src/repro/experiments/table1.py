@@ -48,7 +48,7 @@ def run_table1(
     *same* candidates. ``engine`` (a
     :class:`repro.service.CampaignEngine`; ``None`` runs in-process)
     carries the runner context: worker count, deadline, timing,
-    journal, retries, stats, shards. ``fallback=False`` disarms the
+    journal, retries, stats. ``fallback=False`` disarms the
     validator degradation chains.
     """
     # Imported lazily: the runner's task specs import this package's

@@ -28,16 +28,6 @@ experiment sweeps:
   validator first — the campaign must then *fail*; this is the
   self-test proving the harness detects planted bugs (forces
   ``--jobs 1`` so the sabotage reaches the executing process);
-* ``--shards N`` (or ``REPRO_SHARDS``) runs the campaign through the
-  fault-tolerant shard supervisor (:mod:`repro.runner.shard`);
-  ``--shard-chaos SPEC`` injects shard-level faults (e.g.
-  ``kill:1@10`` hard-kills shard 1 on its 10th task — the campaign
-  must still complete with the same journal digest), and ``--watch``
-  renders a live per-shard dashboard to stderr;
-* ``--shard-merge-selftest`` is the ``shard-merge`` fuzz family: the
-  same seeded system set runs once unsharded and once across 4 shards
-  with one shard killed mid-campaign, and the run fails unless both
-  journal digests and both rendered record tables are byte-identical;
 * unless ``--no-bench``, a ``"fuzz"`` section (systems/sec, check and
   disagreement counts) is merged into ``BENCH_experiments.json``.
 
@@ -141,29 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--replay", metavar="KIND:N:SEED", default=None,
         help="re-run one spec (e.g. 'stable:3:12345') and exit",
     )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the campaign across N fault-tolerant shard processes "
-        "(default: REPRO_SHARDS env, else unsharded)",
-    )
-    parser.add_argument(
-        "--shard-chaos", metavar="SPEC", default=None,
-        help="shard fault spec, e.g. 'kill:1@10' or "
-        "'torn:0@3,freeze:2@5,straggle:3@0.05' (sharded mode only)",
-    )
-    parser.add_argument(
-        "--watch", action="store_true",
-        help="live per-shard dashboard on stderr (sharded mode only)",
-    )
-    parser.add_argument(
-        "--lease-ttl", type=float, default=10.0,
-        help="shard lease expiry in seconds (sharded mode only)",
-    )
-    parser.add_argument(
-        "--shard-merge-selftest", action="store_true",
-        help="shard-merge family: assert the 1-shard and "
-        "4-shards-with-one-kill runs agree byte for byte, then exit",
-    )
     return parser
 
 
@@ -190,36 +157,6 @@ def _profile(args):
             )
         profile = replace(profile, icp_backends=engines)
     return profile
-
-
-def _journal_digest(path: pathlib.Path) -> str:
-    """SHA-256 over the *sorted* journal lines — invariant across job
-    counts, shard counts and shard deaths (see
-    :func:`repro.runner.journal_digest`, which this now delegates to)."""
-    from ..runner import journal_digest
-
-    return journal_digest(path)
-
-
-def _render_records(records) -> str:
-    """Deterministic plaintext table of fuzz outcomes.
-
-    A pure function of the record *contents* (no wall clocks, no
-    ordering dependence beyond the submission order the runner already
-    guarantees), so two campaigns over the same seeded system set must
-    render byte-identically however they were executed — the
-    ``shard-merge`` family asserts exactly that.
-    """
-    lines = []
-    for r in records:
-        synth = ",".join(f"{k}={v}" for k, v in sorted(r.synth.items()))
-        lines.append(
-            f"{r.kind}:{r.n}:{r.seed} stable={r.stable} "
-            f"checks={r.checks} failed={r.failed} "
-            f"disagreements={len(r.disagreements)} "
-            f"harness_errors={len(r.harness_errors)} synth[{synth}]"
-        )
-    return "\n".join(lines)
 
 
 def _plant_sign_flip():
@@ -258,58 +195,10 @@ def _replay(args) -> int:
     return 1 if record.failed else 0
 
 
-def _shard_merge_selftest(args) -> int:
-    """The ``shard-merge`` family: 1 shard clean vs 4 shards with one
-    killed mid-campaign must agree byte for byte."""
-    import tempfile
-
-    from ..oracle import system_specs
-    from ..runner import (
-        FuzzTask, Journal, ShardChaosPolicy, journal_digest, run_sharded,
-    )
-
-    profile = _profile(args)
-    profile_spec = profile.spec()
-    specs = system_specs(args.systems, args.seed, profile.sizes)
-
-    outcomes = {}
-    with tempfile.TemporaryDirectory(prefix="repro-shard-merge-") as tmp:
-        base = pathlib.Path(tmp)
-        for label, shards, chaos in (
-            ("clean-1shard", 1, None),
-            ("chaos-4shard", 4,
-             ShardChaosPolicy(kill_shard=1, kill_after=2)),
-        ):
-            tasks = [FuzzTask(profile=profile_spec, **s) for s in specs]
-            path = base / f"{label}.jsonl"
-            with Journal(path) as journal:
-                records = run_sharded(
-                    tasks, shards=shards, journal=journal,
-                    heartbeat_s=0.1, lease_ttl=args.lease_ttl,
-                )
-            outcomes[label] = (
-                journal_digest(path),
-                _render_records([r for r in records if r is not None]),
-            )
-    (clean_digest, clean_table) = outcomes["clean-1shard"]
-    (chaos_digest, chaos_table) = outcomes["chaos-4shard"]
-    digests_match = clean_digest == chaos_digest
-    tables_match = clean_table == chaos_table
-    print(
-        f"fuzz[shard-merge]: {args.systems} systems, "
-        f"digest {'MATCH' if digests_match else 'MISMATCH'} "
-        f"({clean_digest[:16]} vs {chaos_digest[:16]}), "
-        f"rendered table {'MATCH' if tables_match else 'MISMATCH'}"
-    )
-    return 0 if digests_match and tables_match else 1
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.replay is not None:
         return _replay(args)
-    if args.shard_merge_selftest:
-        return _shard_merge_selftest(args)
 
     from ..oracle import shrink_failure, system_specs, write_failure
     from ..runner import (
@@ -317,11 +206,9 @@ def main(argv=None) -> int:
         FuzzTask,
         Journal,
         RetryPolicy,
-        ShardChaosPolicy,
         TimingCollector,
+        journal_digest,
         resolve_jobs,
-        resolve_shards,
-        run_sharded,
         run_tasks,
         write_section,
     )
@@ -331,15 +218,6 @@ def main(argv=None) -> int:
         print("--plant forces --jobs 1 (the sabotage lives in-process)")
         args.jobs = 1
     jobs = resolve_jobs(args.jobs)
-    shards = resolve_shards(args.shards)
-    chaos = (
-        ShardChaosPolicy.parse(args.shard_chaos)
-        if args.shard_chaos else None
-    )
-    if args.plant and shards > 1:
-        print("--plant forces unsharded mode (the sabotage lives "
-              "in-process)")
-        shards = 1
 
     specs = system_specs(args.systems, args.seed, profile.sizes)
     if args.cegis:
@@ -363,20 +241,11 @@ def main(argv=None) -> int:
             stack.enter_context(_plant_sign_flip())
         if journal is not None:
             stack.enter_context(journal)
-        if shards > 1:
-            records = run_sharded(
-                tasks, shards=shards, journal=journal,
-                task_deadline=args.task_deadline, collect=timing,
-                retry=RetryPolicy(retries=args.retries), stats=stats,
-                lease_ttl=args.lease_ttl, chaos=chaos,
-                watch=True if args.watch else None,
-            )
-        else:
-            records = run_tasks(
-                tasks, jobs=jobs, task_deadline=args.task_deadline,
-                collect=timing, journal=journal,
-                retry=RetryPolicy(retries=args.retries), stats=stats,
-            )
+        records = run_tasks(
+            tasks, jobs=jobs, task_deadline=args.task_deadline,
+            collect=timing, journal=journal,
+            retry=RetryPolicy(retries=args.retries), stats=stats,
+        )
         wall = time.perf_counter() - start
 
         records = [r for r in records if r is not None]
@@ -416,7 +285,7 @@ def main(argv=None) -> int:
         ))
     print(f"  {stats.summary()}")
     if journal is not None:
-        print(f"  journal digest: {_journal_digest(args.journal)}")
+        print(f"  journal digest: {journal_digest(args.journal)}")
     if failures:
         print(f"  artifacts: {args.artifacts}/failures.jsonl")
 
@@ -426,7 +295,6 @@ def main(argv=None) -> int:
             "systems": len(records),
             "seed": args.seed,
             "jobs": jobs,
-            "shards": shards,
             "campaign": stats.counters(),
             "checks": total_checks,
             "failing_systems": len(failures),

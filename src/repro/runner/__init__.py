@@ -11,18 +11,9 @@ or no usable pool). :mod:`repro.runner.timing` records per-task wall
 times into the ``BENCH_experiments.json`` performance-trajectory
 artifact; :mod:`repro.runner.journal` persists every completed verdict
 to an append-only fsync'd JSONL journal so killed campaigns resume by
-replay; :mod:`repro.runner.chaos` injects deterministic faults to prove
-those invariants hold.
-
-For campaigns that must survive losing a whole *group* of workers,
-:func:`run_sharded` (:mod:`repro.runner.shard`) runs the same worker
-supervisor with a shard policy on top: fingerprint-hash home queues
-with work-stealing, per-shard journals written before each
-acknowledgement, heartbeat leases, and requeue-on-death. Per-shard
-journals merge deterministically (:func:`merge_journals` /
-:func:`journal_digest`) back into the campaign journal, and
-:mod:`repro.runner.telemetry` renders live progress from the lease
-files alone.
+replay, and :func:`journal_digest` hashes a journal independently of
+the order its lines were written in; :mod:`repro.runner.chaos` injects
+deterministic faults to prove those invariants hold.
 """
 
 from .core import (
@@ -38,7 +29,6 @@ from .chaos import (
     ChaosPermanentError,
     ChaosPolicy,
     ChaosTask,
-    ShardChaosPolicy,
 )
 from .journal import (
     JOURNAL_SALT,
@@ -47,11 +37,9 @@ from .journal import (
     decode_value,
     encode_value,
     journal_digest,
-    merge_journals,
     register_record_type,
     task_fingerprint,
 )
-from .shard import resolve_shards, run_sharded, shard_of
 from .tasks import (
     CegisTask,
     Figure3Task,
@@ -77,9 +65,6 @@ __all__ = [
     "CampaignStats",
     "run_tasks",
     "resolve_jobs",
-    "run_sharded",
-    "resolve_shards",
-    "shard_of",
     "Journal",
     "JournalEntry",
     "JOURNAL_SALT",
@@ -87,13 +72,11 @@ __all__ = [
     "encode_value",
     "decode_value",
     "register_record_type",
-    "merge_journals",
     "journal_digest",
     "ChaosError",
     "ChaosPermanentError",
     "ChaosPolicy",
     "ChaosTask",
-    "ShardChaosPolicy",
     "Table1Task",
     "RevalidateTask",
     "Figure3Task",

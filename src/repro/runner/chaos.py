@@ -23,13 +23,6 @@ repeat forever and retries could never succeed).
 The wrapper delegates fingerprints, keys, failure hooks and timing
 detail to the wrapped task, so a chaos campaign journals and resumes
 exactly like a clean one.
-
-:class:`ShardChaosPolicy` extends the harness one failure domain up:
-deterministic faults against whole shards of a sharded campaign
-(:mod:`repro.runner.shard`) — hard-kill mid-task, a lease that expires
-without the process dying, a torn per-shard journal tail, a straggler
-shard — the scenarios the shard supervisor's requeue/steal/merge
-machinery must survive without losing or duplicating work.
 """
 
 from __future__ import annotations
@@ -47,7 +40,6 @@ __all__ = [
     "ChaosPermanentError",
     "ChaosPolicy",
     "ChaosTask",
-    "ShardChaosPolicy",
     "inject",
 ]
 
@@ -86,86 +78,6 @@ class ChaosPolicy:
     corrupt_rate: float = 0.0
     hang_s: float = 3600.0
     kill_first_attempts: int = 0
-
-
-@dataclass(frozen=True)
-class ShardChaosPolicy:
-    """Deterministic shard-level faults for sharded campaigns.
-
-    Where :class:`ChaosPolicy` fails individual tasks/workers, this
-    policy fails whole *shards* of a :func:`repro.runner.shard.
-    run_sharded` campaign — the failure domain the shard supervisor
-    exists to absorb. All faults are deterministic (indexed by shard
-    number and task ordinal, no RNG), so a chaosed campaign is exactly
-    reproducible:
-
-    * ``kill_shard``/``kill_after`` — shard ``kill_shard`` hard-exits
-      (``os._exit``) while processing its ``kill_after``-th accepted
-      task. With ``kill_mode="exit"`` it dies *after* journaling the
-      task but before acknowledging it — the journaled-but-unacked
-      window that forces the supervisor to requeue an already-completed
-      fingerprint and proves double execution harmless (last-wins
-      merge). With ``kill_mode="torn"`` it instead tears its journal
-      tail (a truncated, newline-less record — what a crash mid-write
-      leaves) and then dies, so the merge must skip the torn line and
-      the supervisor must re-run that task.
-    * ``freeze_shard``/``freeze_after`` — shard ``freeze_shard`` stops
-      heartbeating after completing ``freeze_after`` tasks but keeps
-      running: its lease expires without its process exiting, the
-      "partitioned but alive" failure. The supervisor must declare it
-      dead on lease expiry alone.
-    * ``straggler_shard``/``straggler_delay_s`` — shard
-      ``straggler_shard`` sleeps ``straggler_delay_s`` before every
-      task (a 10x-slowdown straggler at the right delay). The
-      supervisor's work-stealing must drain its backlog onto the
-      healthy shards instead of letting it serialize the campaign.
-    """
-
-    kill_shard: int | None = None
-    kill_after: int = 1
-    kill_mode: str = "exit"  # "exit" | "torn"
-    freeze_shard: int | None = None
-    freeze_after: int = 0
-    straggler_shard: int | None = None
-    straggler_delay_s: float = 0.0
-
-    @classmethod
-    def parse(cls, spec: str) -> "ShardChaosPolicy":
-        """Parse the compact CLI form, e.g. ``kill:1@10`` or
-        ``torn:0@3,freeze:2@5,straggle:3@0.05`` (``fault:shard@when``,
-        comma-separated)."""
-        fields: dict = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            try:
-                fault, rest = part.split(":", 1)
-                shard, when = rest.split("@", 1)
-                shard = int(shard)
-            except ValueError:
-                raise ValueError(
-                    f"bad shard-chaos spec {part!r}; "
-                    "expected fault:shard@when"
-                )
-            if fault in ("kill", "torn"):
-                fields.update(
-                    kill_shard=shard, kill_after=int(when), kill_mode=(
-                        "torn" if fault == "torn" else "exit"
-                    ),
-                )
-            elif fault == "freeze":
-                fields.update(freeze_shard=shard, freeze_after=int(when))
-            elif fault in ("straggle", "straggler"):
-                fields.update(
-                    straggler_shard=shard, straggler_delay_s=float(when)
-                )
-            else:
-                raise ValueError(
-                    f"unknown shard fault {fault!r}; "
-                    "known: kill, torn, freeze, straggle"
-                )
-        return cls(**fields)
 
 
 class ChaosTask(Task):

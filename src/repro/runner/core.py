@@ -45,12 +45,10 @@ serial run:
   most once per worker — and, under the preferred ``fork`` start
   method, inherited from the parent for free.
 
-One supervisor (:class:`_Pool`) owns spawn, dispatch, reply
-collection, liveness and the death path; :func:`run_sharded`
-(:mod:`repro.runner.shard`) runs the same loop with a shard policy on
-top. One worker function (:func:`_worker_main`), one attempt function
-(:func:`_attempt`) and one outcome-accounting path (:class:`_Run`)
-serve the in-process path, the pool and the shards alike.
+One pool (:class:`_Pool`) owns spawn, dispatch, reply collection,
+liveness and the death path. One attempt function (:func:`_attempt`)
+and one outcome-accounting path (:class:`_Run`) serve the in-process
+path and the pool alike.
 """
 
 from __future__ import annotations
@@ -184,13 +182,10 @@ class CampaignStats:
     *policy* retries — a task that raised a transient error and was
     re-attempted. ``requeued_tasks``/``requeue_attempts`` count tasks
     re-dispatched because the *infrastructure* failed under them — a
-    worker death, a deadline kill, or (in sharded campaigns) a whole
-    shard declared dead — which used to be folded into the retry
-    counters and is now reported distinctly. ``stolen_tasks`` counts
-    tasks work-stolen from a busy shard's backlog onto an idle shard.
-    ``degraded`` counts tasks whose result records a backend/validator
-    fallback; ``journal_errors`` counts outcomes that could not be
-    journaled (the campaign continues regardless).
+    worker death or a deadline kill — reported apart from the retry
+    counters. ``degraded`` counts tasks whose result records a
+    backend/validator fallback; ``journal_errors`` counts outcomes that
+    could not be journaled (the campaign continues regardless).
     """
 
     total: int = 0
@@ -200,7 +195,6 @@ class CampaignStats:
     retry_attempts: int = 0
     requeued_tasks: int = 0
     requeue_attempts: int = 0
-    stolen_tasks: int = 0
     degraded: int = 0
     errors: int = 0
     timeouts: int = 0
@@ -221,8 +215,6 @@ class CampaignStats:
                 f"{self.requeued_tasks} requeued "
                 f"(+{self.requeue_attempts} attempts)",
             )
-        if self.stolen_tasks:
-            parts.append(f"{self.stolen_tasks} stolen")
         if self.timeouts:
             parts.append(f"{self.timeouts} timeouts")
         if self.journal_errors:
@@ -239,7 +231,6 @@ class CampaignStats:
             "retry_attempts": self.retry_attempts,
             "requeued_tasks": self.requeued_tasks,
             "requeue_attempts": self.requeue_attempts,
-            "stolen_tasks": self.stolen_tasks,
             "degraded": self.degraded,
             "errors": self.errors,
             "timeouts": self.timeouts,
@@ -321,8 +312,8 @@ def _attempt(task, attempt: int, policy: RetryPolicy):
 
     Returns ``(status, result, wall_s, error)``: ``"ok"``, ``"error"``
     (``result`` is then the task's :meth:`Task.on_error` record) or
-    ``"retry"`` — a transient failure the policy re-attempts. Pool and
-    shard workers run one attempt per dispatch through this function;
+    ``"retry"`` — a transient failure the policy re-attempts. Pool
+    workers run one attempt per dispatch through this function;
     :meth:`_Run.run_local` loops over it in-process.
     """
     try:
@@ -360,7 +351,7 @@ def _journal_outcome(journal, task, fingerprint, status, result, attempts,
 class _Run:
     """Per-campaign bookkeeping: the one outcome-accounting path
     (result slot, stats, timing, journal) every finished task takes,
-    whether it ran in-process, in a pool worker or in a shard."""
+    whether it ran in-process or in a pool worker."""
 
     def __init__(self, tasks, collect, journal, policy, stats):
         count = len(tasks)
@@ -432,13 +423,8 @@ class _Run:
             if not done:
                 self.run_local(index)
 
-    def finish(self, index, status, result, worker, error=None,
-               journaled=False) -> None:
-        """Record a final outcome: result slot, stats, timing, journal.
-
-        ``journaled`` marks an outcome a shard already wrote to its own
-        journal (absorbed into the campaign journal at the end).
-        """
+    def finish(self, index, status, result, worker, error=None) -> None:
+        """Record a final outcome: result slot, stats, timing, journal."""
         self.results[index] = result
         self.done[index] = True
         stats = self.stats
@@ -462,7 +448,7 @@ class _Run:
         )
         if detail.get("degraded"):
             stats.degraded += 1
-        if self.journal is not None and not journaled:
+        if self.journal is not None:
             self._journal_write(index, status, result, error)
 
     def _emit_timing(
@@ -502,24 +488,16 @@ class _Run:
 
 
 # ----------------------------------------------------------------------
-# The worker supervisor (the flat pool; shards override its policy)
+# The worker pool
 # ----------------------------------------------------------------------
 
-def _worker_main(conn, supervisor_end, policy: RetryPolicy, hooks=None):
-    """Worker process: receive ``(index, task, attempt, note)``, run that
-    one attempt, reply ``(index, status, result, wall_s, error)``;
-    ``None`` shuts it down. Task errors are replies, not worker deaths.
-
-    ``hooks`` carries a shard's worker-side policy (see
-    :class:`repro.runner.shard._ShardWorker`): ``accept`` sees each
-    dispatch (``note`` marks steals and requeues), ``settle`` journals
-    each final outcome *before* the reply goes out.
-    """
+def _worker_main(conn, supervisor_end, policy: RetryPolicy):
+    """Worker process: receive ``(index, task, attempt)``, run that one
+    attempt, reply ``(index, status, result, wall_s, error)``; ``None``
+    shuts it down. Task errors are replies, not worker deaths."""
     # The fork copied the supervisor's end of this pipe; while this copy
     # stays open a dead supervisor never shows as EOF here.
     supervisor_end.close()
-    if hooks is not None:
-        hooks.start()
     try:
         while True:
             try:
@@ -528,12 +506,8 @@ def _worker_main(conn, supervisor_end, policy: RetryPolicy, hooks=None):
                 break
             if message is None:
                 break
-            index, task, attempt, note = message
-            if hooks is not None:
-                hooks.accept(task, note)
+            index, task, attempt = message
             status, result, wall, error = _attempt(task, attempt, policy)
-            if hooks is not None:
-                error = hooks.settle(task, attempt, status, result, error)
             try:
                 conn.send((index, status, result, wall, error))
             except OSError:
@@ -548,8 +522,6 @@ def _worker_main(conn, supervisor_end, policy: RetryPolicy, hooks=None):
                 except Exception:
                     break
     finally:
-        if hooks is not None:
-            hooks.stop()
         try:
             conn.close()
         except OSError:
@@ -559,15 +531,13 @@ def _worker_main(conn, supervisor_end, policy: RetryPolicy, hooks=None):
 class _Worker:
     """Supervisor-side handle of one worker process."""
 
-    __slots__ = ("process", "conn", "slot", "inflight", "started", "spawned")
+    __slots__ = ("process", "conn", "index", "started")
 
-    def __init__(self, process, conn, slot):
+    def __init__(self, process, conn):
         self.process = process
         self.conn = conn
-        self.slot = slot
-        self.inflight: list[int] = []  # dispatched indices, in run order
-        self.started = 0.0  # when the oldest in-flight task started
-        self.spawned = time.time()
+        self.index: int | None = None  # the task in flight, if any
+        self.started = 0.0  # when that task was dispatched
 
     def stop(self, graceful: bool = True) -> None:
         if graceful:
@@ -588,25 +558,16 @@ class _Worker:
 
 
 class _Pool:
-    """The one worker supervisor: spawn, dispatch, collect, liveness,
-    death.
+    """The worker pool behind ``run_tasks(jobs>1)``: spawn, dispatch,
+    collect, liveness, death.
 
-    As it stands this is the flat pool behind ``run_tasks(jobs>1)``:
-    one shared queue, one task in flight per worker, results journaled
+    One shared queue, one task in flight per worker, results journaled
     by the parent. A dead worker's task is requeued (its attempt is
     spent) while the retry policy allows, else finished in-process as
     ``"fallback"``; a deadline kill is requeued the same way, else
     recorded as ``"timeout"``; dead workers are replaced while work
-    remains. :class:`repro.runner.shard._ShardPool` overrides the class
-    attributes and the policy hooks below to run shards on the same
-    loop.
+    remains.
     """
-
-    window = 1  # tasks in flight per worker
-    respawn = True  # replace a dead worker while work remains
-    charge_deaths = True  # a worker death spends its running attempt
-    max_requeues: int | None = None  # None: the retry policy decides
-    worker_journals = False  # workers journal before they acknowledge
 
     def __init__(self, run: _Run, deadline: float | None, count: int):
         self.run = run
@@ -620,85 +581,40 @@ class _Pool:
         except ValueError:  # platforms without fork: spawn still works,
             self.context = multiprocessing.get_context()  # caches warm/worker
 
-    # -- policy hooks -------------------------------------------------
-
-    def _hooks(self, slot):
-        """Worker-side hooks for a worker in ``slot`` (none here)."""
-        return None
-
-    def _name(self, worker) -> str:
-        return str(worker.process.pid)
-
-    def _enqueue(self, index: int) -> None:
-        self.pending.append(index)
-
-    def _queued(self) -> bool:
-        return bool(self.pending)
-
-    def _next(self, worker):
-        """``(index, note)`` to dispatch to ``worker``, or ``(None, None)``."""
-        return (self.pending.popleft(), None) if self.pending else (None, None)
-
-    def _dead_reason(self, worker, now: float) -> str | None:
-        if not worker.process.is_alive():
-            return "process exited"
-        if (
-            self.deadline is not None
-            and worker.inflight
-            and now - worker.started > self.deadline
-        ):
-            return "deadline"
-        return None
-
-    def _harvest(self, worker) -> None:
-        """Finish in-flight tasks a dead worker completed unacknowledged."""
-
-    def _abandon(self, worker) -> None:
-        """Hand a dead worker's queued (undispatched) work elsewhere."""
-
-    def _tick(self) -> None:
-        """Called once per scheduling pass (progress rendering)."""
-
-    # -- the loop -----------------------------------------------------
-
     def supervise(self, todo: list[int]) -> None:
         """Run ``todo`` on ``count`` workers until it is done or no
         worker is left; the caller finishes the rest in-process."""
         try:
-            for slot in range(self.count):
-                self._spawn(slot)
-            for index in todo:
-                self._enqueue(index)
+            for _ in range(self.count):
+                self._spawn()
+            self.pending.extend(todo)
             while self.workers and self._work_left():
                 self._release(time.monotonic())
                 for worker in list(self.workers):
                     self._fill(worker)
                 self._collect()
-                self._tick()
         finally:
             for worker in self.workers:
                 worker.stop()
 
-    def _spawn(self, slot) -> None:
+    def _spawn(self) -> None:
         try:
             parent_end, child_end = self.context.Pipe(duplex=True)
             process = self.context.Process(
                 target=_worker_main,
-                args=(
-                    child_end, parent_end, self.run.policy, self._hooks(slot)
-                ),
+                args=(child_end, parent_end, self.run.policy),
                 daemon=True,
             )
             process.start()
         except (OSError, ValueError):
             return  # no worker: the loop degrades to in-process
         child_end.close()
-        self.workers.append(_Worker(process, parent_end, slot))
+        self.workers.append(_Worker(process, parent_end))
 
     def _work_left(self) -> bool:
         return bool(
-            self._queued() or self.delayed
-            or any(worker.inflight for worker in self.workers)
+            self.pending or self.delayed
+            or any(worker.index is not None for worker in self.workers)
         )
 
     def _later(self, index: int) -> None:
@@ -714,34 +630,31 @@ class _Pool:
         due = sorted(item for item in self.delayed if item[0] <= now)
         if due:
             self.delayed = [item for item in self.delayed if item[0] > now]
-            for _ready, index in due:
-                self._enqueue(index)
+            self.pending.extend(index for _ready, index in due)
 
     def _fill(self, worker) -> None:
+        """Dispatch the next queued task to ``worker`` if it is idle."""
         run = self.run
-        while len(worker.inflight) < self.window:
-            index, note = self._next(worker)
-            if index is None:
-                return
+        while worker.index is None and self.pending:
+            index = self.pending.popleft()
             run.attempts[index] += 1
-            message = (index, run.tasks[index], run.attempts[index], note)
+            message = (index, run.tasks[index], run.attempts[index])
             try:
                 worker.conn.send(message)
             except OSError:  # broken pipe: the worker is gone
                 run.attempts[index] -= 1
-                self._enqueue(index)
+                self.pending.append(index)
                 self._bury(worker, "send failed", time.monotonic())
                 return
             except Exception:  # unpicklable task: run it here
                 run.attempts[index] -= 1
                 run.run_local(index)
                 continue
-            if not worker.inflight:
-                worker.started = time.monotonic()
-            worker.inflight.append(index)
+            worker.index = index
+            worker.started = time.monotonic()
 
     def _collect(self) -> None:
-        busy = [worker.conn for worker in self.workers if worker.inflight]
+        busy = [w.conn for w in self.workers if w.index is not None]
         if busy:
             ready = _wait_ready(busy, timeout=_POLL_INTERVAL)
         else:
@@ -753,7 +666,7 @@ class _Pool:
             time.sleep(pause)
         now = time.monotonic()
         for worker in list(self.workers):
-            if worker.conn in ready and not self._drain(worker, now):
+            if worker.conn in ready and not self._drain(worker):
                 # EOF on the pipe: the worker died, whatever is_alive()
                 # still says.
                 self._bury(worker, "pipe closed", now)
@@ -762,58 +675,55 @@ class _Pool:
             if reason is not None:
                 self._bury(worker, reason, now)
 
-    def _drain(self, worker, now: float) -> bool:
-        """Take every reply waiting on ``worker``'s pipe; ``False`` at EOF."""
+    def _dead_reason(self, worker, now: float) -> str | None:
+        if not worker.process.is_alive():
+            return "process exited"
+        if (
+            self.deadline is not None
+            and worker.index is not None
+            and now - worker.started > self.deadline
+        ):
+            return "deadline"
+        return None
+
+    def _drain(self, worker) -> bool:
+        """Take the reply waiting on ``worker``'s pipe; ``False`` at EOF."""
         try:
-            while worker.inflight and worker.conn.poll():
-                self._reply(worker, *worker.conn.recv(), now)
+            if worker.index is not None and worker.conn.poll():
+                self._reply(worker, *worker.conn.recv())
         except (EOFError, OSError):
             return False
         return True
 
-    def _reply(self, worker, index, status, result, wall, error, now):
-        worker.inflight.remove(index)
-        worker.started = now  # the next in-flight task starts now
+    def _reply(self, worker, index, status, result, wall, error) -> None:
+        worker.index = None
         run = self.run
         run.walls[index] += wall
         if status == "retry":
             run.retries[index] += 1
             self._later(index)
             return
-        run.finish(
-            index, status, result, self._name(worker), error,
-            journaled=self.worker_journals,
-        )
+        run.finish(index, status, result, str(worker.process.pid), error)
 
     def _bury(self, worker, reason: str, now: float) -> None:
-        """The one death path: stop the worker, settle what it held."""
+        """The one death path: stop the worker, settle the task it held."""
         self.workers.remove(worker)
-        self._drain(worker, now)  # replies that beat the death
+        self._drain(worker)  # a reply that beat the death
         worker.stop(graceful=False)
-        self._harvest(worker)
-        run = self.run
-        for position, index in enumerate(worker.inflight):
-            if position == 0:  # the task it was running
-                elapsed = now - worker.started
-                run.walls[index] += elapsed
-                if reason == "deadline" and elapsed > self.deadline:
-                    self._timed_out(worker, index, elapsed)
-                    continue
-            if not self.charge_deaths:
-                run.attempts[index] -= 1
-            if self.max_requeues is None:
-                requeue = run.may_retry(index)
-            else:
-                requeue = run.requeues[index] < self.max_requeues
-            if requeue:
+        index = worker.index
+        if index is not None:
+            run = self.run
+            elapsed = now - worker.started
+            run.walls[index] += elapsed
+            if reason == "deadline" and elapsed > self.deadline:
+                self._timed_out(worker, index, elapsed)
+            elif run.may_retry(index):
                 run.requeues[index] += 1
                 self._later(index)
             else:
                 run.run_local(index, "fallback")
-        worker.inflight.clear()
-        self._abandon(worker)
-        if self.respawn and self._work_left():
-            self._spawn(worker.slot)
+        if self._work_left():
+            self._spawn()
 
     def _timed_out(self, worker, index: int, elapsed: float) -> None:
         run = self.run
@@ -823,7 +733,7 @@ class _Pool:
             return
         run.finish(
             index, "timeout", run.tasks[index].on_timeout(elapsed),
-            self._name(worker),
+            str(worker.process.pid),
             error={
                 "exc": (
                     f"deadline exceeded ({elapsed:.3g}s"

@@ -28,19 +28,12 @@ append-only JSONL file so an interrupted campaign can be resumed with
   JSON shortest-repr, ``Fraction``/NumPy/record dataclasses via tagged
   encoding), so a fully-replayed campaign renders byte-identically to
   the run that produced the journal.
-* **Mergeability** — records carry no worker, shard or wall-clock
-  identity, only content: the same task completed anywhere produces the
-  same line bytes (for deterministic result payloads). That makes
-  per-shard journals of a distributed campaign mergeable by
-  :func:`merge_journals` with last-wins dedup, and the merged file's
-  sorted-line digest (:func:`journal_digest`) invariant to shard count,
-  shard deaths and steal order. ``python -m repro.runner.journal
-  merge|digest`` exposes both from the command line.
-* **Read-only tailing** — :meth:`Journal.load` opens a journal without
-  taking the write path: no file handle is held open, no fsync, and —
-  unlike the ``resume=True`` write path — a torn trailing line is
-  *not* truncated away, so a supervisor or telemetry view can tail a
-  shard journal that another process is still appending to.
+* **Digests** — records carry no worker or wall-clock identity, only
+  content: the same task completed by any worker produces the same line
+  bytes (for deterministic result payloads). So the sorted-line digest
+  (:func:`journal_digest`) is invariant to the job count and the order
+  tasks finished in; ``python -m repro.runner.journal digest`` prints
+  it.
 """
 
 from __future__ import annotations
@@ -65,7 +58,6 @@ __all__ = [
     "encode_value",
     "decode_value",
     "register_record_type",
-    "merge_journals",
     "journal_digest",
 ]
 
@@ -99,6 +91,7 @@ def _load_default_record_types() -> None:
         return
     _DEFAULTS_LOADED = True
     from ..experiments.records import (
+        CegisRecord,
         Figure3Record,
         PiecewiseRecord,
         Table1Record,
@@ -109,7 +102,7 @@ def _load_default_record_types() -> None:
 
     for cls in (
         Table1Record, Table2Record, Figure3Record, PiecewiseRecord,
-        LyapunovCandidate, FuzzRecord,
+        CegisRecord, LyapunovCandidate, FuzzRecord,
     ):
         register_record_type(cls)
 
@@ -265,52 +258,14 @@ class Journal:
     campaign. Use as a context manager (or call :meth:`close`).
     """
 
-    def __init__(
-        self,
-        path: str | pathlib.Path,
-        resume: bool = False,
-        fsync: bool = True,
-    ) -> None:
+    def __init__(self, path: str | pathlib.Path, resume: bool = False) -> None:
         self.path = pathlib.Path(path)
-        self.fsync = fsync
-        self.readonly = False
         self._entries: dict[str, JournalEntry] = {}
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if resume and self.path.exists():
             self._entries = _load_entries(self.path)
             _trim_torn_tail(self.path)
         self._handle = open(self.path, "ab" if resume else "wb")
-
-    @classmethod
-    def load(cls, path: str | pathlib.Path) -> "Journal":
-        """Open a journal *read-only* (no write handle, no fsync).
-
-        The supervisor and the telemetry view tail per-shard journals
-        that other processes are still appending to; taking the write
-        path there would truncate a torn tail out from under the owning
-        writer (and contend on the file handle). ``load`` parses every
-        intact entry — a torn trailing line is simply skipped, never
-        truncated — and leaves the file untouched. A missing file loads
-        as an empty journal. Every write method raises.
-        """
-        self = cls.__new__(cls)
-        self.path = pathlib.Path(path)
-        self.fsync = False
-        self.readonly = True
-        self._handle = None
-        self._entries = (
-            _load_entries(self.path) if self.path.exists() else {}
-        )
-        return self
-
-    def reload(self) -> None:
-        """Re-read the file (read-only journals only): pick up entries
-        appended by the owning writer since :meth:`load`."""
-        if not self.readonly:
-            raise ValueError("reload() is only for read-only journals")
-        self._entries = (
-            _load_entries(self.path) if self.path.exists() else {}
-        )
 
     # -- reading -------------------------------------------------------
 
@@ -326,14 +281,6 @@ class Journal:
     def get(self, fingerprint: str) -> JournalEntry | None:
         """The recorded outcome for ``fingerprint``, or ``None``."""
         return self._entries.get(fingerprint)
-
-    def fingerprints(self) -> set[str]:
-        """The set of recorded fingerprints (a snapshot)."""
-        return set(self._entries)
-
-    def entries(self):
-        """Iterate the recorded :class:`JournalEntry` values."""
-        return iter(self._entries.values())
 
     # -- writing -------------------------------------------------------
 
@@ -383,41 +330,15 @@ class Journal:
             line[: max(4, len(line) // 2)].encode("utf-8") + b"\n"
         )
 
-    def absorb_line(self, raw: bytes) -> JournalEntry | None:
-        """Append one raw journal line verbatim (merge plumbing).
-
-        The shard supervisor folds per-shard journals back into the
-        campaign's main journal *byte for byte* — re-encoding through
-        :meth:`record` would be equivalent (the tagged encoding
-        round-trips exactly) but copying the line is cheaper and makes
-        the merged-digest invariant true by construction. The line must
-        parse as an intact journal entry; unparseable lines are
-        rejected (returns ``None``, nothing written).
-        """
-        if not raw.endswith(b"\n"):
-            raw += b"\n"
-        parsed = _parse_line(raw)
-        if parsed is None:
-            return None
-        fingerprint, entry = parsed
-        self._write(raw)
-        self._entries[fingerprint] = entry
-        return entry
-
     def _write(self, data: bytes) -> None:
-        if self.readonly:
-            raise ValueError(
-                f"journal {self.path} was opened read-only (Journal.load)"
-            )
         self._handle.write(data)
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        if self._handle is not None and not self._handle.closed:
+        if not self._handle.closed:
             self._handle.close()
 
     def __enter__(self) -> "Journal":
@@ -448,60 +369,16 @@ def _trim_torn_tail(path: pathlib.Path) -> None:
         handle.truncate(keep)
 
 
-def _parse_line(raw: bytes) -> tuple[str, JournalEntry] | None:
-    """Decode one newline-terminated journal line; ``None`` if corrupt."""
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError):
-        return None
-    if not isinstance(obj, dict) or "fp" not in obj:
-        return None
-    if "result" not in obj or "status" not in obj:
-        return None
-    try:
-        result = decode_value(obj["result"])
-    except Exception:
-        return None
-    return obj["fp"], JournalEntry(
-        fingerprint=obj["fp"],
-        kind=obj.get("kind", "?"),
-        status=obj["status"],
-        result=result,
-        attempts=int(obj.get("attempts", 1)),
-        error=obj.get("error"),
-    )
-
-
-def _load_entries(path: pathlib.Path) -> dict[str, JournalEntry]:
-    """Parse every intact line; skip torn/corrupt ones (they re-run)."""
-    entries: dict[str, JournalEntry] = {}
-    with open(path, "rb") as handle:
-        for raw in handle:
-            if not raw.endswith(b"\n"):
-                break  # torn trailing line from a mid-write crash
-            parsed = _parse_line(raw)
-            if parsed is None:
-                continue
-            fingerprint, entry = parsed
-            entries[fingerprint] = entry
-    return entries
-
-
-# ----------------------------------------------------------------------
-# Merging per-shard journals
-# ----------------------------------------------------------------------
-
-#: Preference order when two shards hold *different* bytes for the same
-#: fingerprint (a task that errored on a dying shard and then succeeded
-#: on the shard that stole it): the most decided outcome wins.
-_STATUS_RANK = {"ok": 3, "fallback": 2, "timeout": 1, "error": 0}
+#: Keys an intact journal line must hold.
+_FIELDS = frozenset({"fp", "result", "status"})
 
 
 def _raw_entries(path: pathlib.Path):
-    """Yield ``(fingerprint, status, raw_line)`` for every intact line.
+    """Yield ``(record, raw_line)`` for every intact journal line.
 
-    Torn trailing lines (no newline — a shard crashed mid-write) and
-    corrupt interior lines are skipped, exactly like replay does.
+    A torn trailing line (no newline — a crash mid-write) ends the scan;
+    corrupt interior lines are skipped, for replay and
+    :func:`journal_digest` alike.
     """
     with open(path, "rb") as handle:
         for raw in handle:
@@ -511,115 +388,58 @@ def _raw_entries(path: pathlib.Path):
                 obj = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, ValueError):
                 continue
-            if not isinstance(obj, dict) or "fp" not in obj:
-                continue
-            if "result" not in obj or "status" not in obj:
-                continue
-            yield obj["fp"], obj.get("status", "?"), raw
+            if isinstance(obj, dict) and _FIELDS <= obj.keys():
+                yield obj, raw
 
 
-def _merge_wins(new: tuple[str, bytes], old: tuple[str, bytes]) -> bool:
-    """Deterministic, order-independent duplicate resolution.
-
-    Higher status rank wins; ties break on the lexicographically larger
-    line bytes. Both comparisons are symmetric in the inputs' *file*
-    order, which is what makes :func:`merge_journals` invariant under
-    permutation of the shard files.
-    """
-    new_rank = _STATUS_RANK.get(new[0], -1)
-    old_rank = _STATUS_RANK.get(old[0], -1)
-    if new_rank != old_rank:
-        return new_rank > old_rank
-    return new[1] > old[1]
-
-
-def merge_journals(
-    paths,
-    out: str | pathlib.Path | None = None,
-) -> dict[str, bytes]:
-    """Merge per-shard journals into one fingerprint-keyed line map.
-
-    Within one file, duplicates resolve last-wins (the journal's own
-    re-run semantic). Across files, duplicates resolve by
-    :func:`_merge_wins` — a deterministic rule that does not depend on
-    the order ``paths`` are listed in, so the merged content is
-    invariant to shard count, shard deaths and steal order. Missing
-    files are skipped (a shard that died before journaling anything).
-
-    When ``out`` is given, the merged lines are written there sorted by
-    fingerprint — a well-formed journal file whose sorted-line digest
-    (:func:`journal_digest`) equals the digest of the union of inputs.
-    Returns the ``fingerprint -> raw line`` map.
-    """
-    merged: dict[str, tuple[str, bytes]] = {}
-    for path in sorted(pathlib.Path(p) for p in paths):
-        if not path.exists():
+def _load_entries(path: pathlib.Path) -> dict[str, JournalEntry]:
+    """Decode every intact line; skip undecodable ones (they re-run)."""
+    entries: dict[str, JournalEntry] = {}
+    for obj, _raw in _raw_entries(path):
+        try:
+            result = decode_value(obj["result"])
+        except Exception:
             continue
-        per_file: dict[str, tuple[str, bytes]] = {}
-        for fingerprint, status, raw in _raw_entries(path):
-            per_file[fingerprint] = (status, raw)  # last-wins within file
-        for fingerprint, candidate in per_file.items():
-            present = merged.get(fingerprint)
-            if present is None or _merge_wins(candidate, present):
-                merged[fingerprint] = candidate
-    lines = {fp: raw for fp, (_status, raw) in merged.items()}
-    if out is not None:
-        out = pathlib.Path(out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        data = b"".join(lines[fp] for fp in sorted(lines))
-        tmp = out.with_name(out.name + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, out)
-    return lines
+        entries[obj["fp"]] = JournalEntry(
+            fingerprint=obj["fp"],
+            kind=obj.get("kind", "?"),
+            status=obj["status"],
+            result=result,
+            attempts=int(obj.get("attempts", 1)),
+            error=obj.get("error"),
+        )
+    return entries
 
 
 def journal_digest(path: str | pathlib.Path) -> str:
     """SHA-256 over the *sorted* intact journal lines.
 
-    Workers and shards complete in nondeterministic order, so the
-    file's byte order varies with scheduling — but the set of lines
-    does not. Sorting before hashing gives a digest invariant across
-    job counts, shard counts, shard deaths and steal order (for
-    deterministic result payloads), which is what the determinism
-    checks compare. Duplicate lines are deduplicated first (a task
-    double-executed by a steal contributes once), and torn/corrupt
-    lines are excluded just as replay excludes them.
+    Workers complete in nondeterministic order, so the file's byte
+    order varies with scheduling — but the set of lines does not.
+    Sorting before hashing gives a digest invariant across job counts
+    (for deterministic result payloads), which is what the determinism
+    checks compare. Duplicate lines are deduplicated first, and
+    torn/corrupt lines are excluded just as replay excludes them.
     """
-    lines = sorted(
-        {raw for _fp, _status, raw in _raw_entries(pathlib.Path(path))}
-    )
+    lines = sorted({raw for _obj, raw in _raw_entries(pathlib.Path(path))})
     return hashlib.sha256(b"".join(lines)).hexdigest()
 
 
 def _main(argv=None) -> int:
-    """``python -m repro.runner.journal`` — merge and digest tooling."""
+    """``python -m repro.runner.journal digest PATH``."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.runner.journal",
-        description="Journal maintenance: merge per-shard journals, "
-        "print order-invariant digests.",
+        description="Print a journal's order-invariant digest.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    merge = sub.add_parser(
-        "merge", help="merge shard journals into one combined journal"
-    )
-    merge.add_argument("out", type=pathlib.Path, help="merged output path")
-    merge.add_argument(
-        "inputs", nargs="+", type=pathlib.Path, help="per-shard journals"
-    )
     digest = sub.add_parser(
         "digest", help="print 'sha256 entry-count' of a journal"
     )
     digest.add_argument("path", type=pathlib.Path)
     args = parser.parse_args(argv)
-    if args.command == "merge":
-        lines = merge_journals(args.inputs, out=args.out)
-        print(f"{args.out}: {len(lines)} entries "
-              f"from {len(args.inputs)} journal(s)")
-        print(f"{journal_digest(args.out)} {len(lines)}")
-        return 0
-    entries = {fp for fp, _s, _r in _raw_entries(args.path)}
+    entries = {obj["fp"] for obj, _raw in _raw_entries(args.path)}
     print(f"{journal_digest(args.path)} {len(entries)}")
     return 0
 

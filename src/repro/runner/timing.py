@@ -95,11 +95,11 @@ class TaskTiming:
     key: dict | None
     status: str  # "ok" | "error" | "timeout" | "fallback" | "replayed"
     wall_s: float
-    worker: str  # worker pid, "local", "journal", or "shard<K>:<pid>"
+    worker: str  # worker pid, "local" or "journal"
     detail: dict = field(default_factory=dict)
     attempts: int = 1
     error: dict | None = None
-    #: Attempts caused by infrastructure failure (worker/shard death,
+    #: Attempts caused by infrastructure failure (worker death,
     #: deadline kill) rather than a policy retry; see
     #: :class:`repro.runner.CampaignStats`.
     requeues: int = 0
@@ -143,7 +143,6 @@ def write_bench(
     quick: bool,
     total_wall_s: float,
     stats=None,
-    shards: int | None = None,
 ) -> dict:
     """Merge one experiment's timings into the bench artifact at ``path``.
 
@@ -151,8 +150,7 @@ def write_bench(
     ``kernels`` section — so a full ``python -m repro.experiments all``
     accumulates every sweep into a single file. ``stats`` (a
     :class:`repro.runner.CampaignStats`) adds the campaign counters —
-    replays, retries, requeues, steals — as a ``"campaign"`` sub-dict;
-    ``shards`` records the shard count of a sharded campaign. Returns
+    replays, retries, requeues — as a ``"campaign"`` sub-dict. Returns
     the written document.
     """
     path = pathlib.Path(path)
@@ -164,8 +162,6 @@ def write_bench(
         "task_wall_s": collector.task_wall_s(),
         "tasks": collector.entries(),
     }
-    if shards is not None:
-        entry["shards"] = shards
     if stats is not None:
         entry["campaign"] = stats.counters()
     data["experiments"][experiment] = entry

@@ -27,7 +27,10 @@ backend="int")`` decides the same verdict from integer kernels after a
 single denominator clearing, while ``backend="fraction"`` pins the
 historical Fraction oracle — the pair powers the differential tests.
 The ICP validators run :func:`~repro.smt.check_positive_definite_icp`
-on its default engine.
+on its default engine and accept ``max_boxes`` and ``delta``. Every
+validator is called as ``fn(matrix, fallback=..., **options)`` and
+takes only the options it uses: :func:`run_validator` raises
+``TypeError`` for any other option before anything runs.
 
 **Graceful degradation.** Verdicts must survive a flaky backend, so
 failures degrade along two chains (opt out with ``fallback=False``,
@@ -52,6 +55,7 @@ that produced the verdict). A clean run carries none of these keys.
 
 from __future__ import annotations
 
+import inspect
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -107,7 +111,6 @@ def _with_witness(check: Callable[..., bool]):
         matrix: RationalMatrix,
         backend: str = "auto",
         fallback: bool = True,
-        **_options,
     ) -> tuple[bool, list | None, dict]:
         mode = resolve_backend(backend, matrix.rows, op="minors")
         hops: list[dict] = []
@@ -136,7 +139,9 @@ def _with_witness(check: Callable[..., bool]):
     return run
 
 
-def _sympy_validator(matrix: RationalMatrix, **_options):
+def _sympy_validator(matrix: RationalMatrix, fallback: bool = True):
+    # ``fallback`` is part of every validator's call; SymPy has no
+    # backend chain to degrade along.
     import sympy
 
     sym = sympy.Matrix(
@@ -151,10 +156,11 @@ def _sympy_validator(matrix: RationalMatrix, **_options):
 def _icp_validator(plus_det: bool):
     def run(
         matrix: RationalMatrix,
+        fallback: bool = True,
         max_boxes: int = 200_000,
         delta: float = 1e-7,
-        **_options,
     ):
+        # As for SymPy: ICP has no backend chain, so ``fallback`` is moot.
         outcome = check_positive_definite_icp(
             matrix,
             plus_det=plus_det,
@@ -226,22 +232,27 @@ def run_validator(
     kernel-backend fallback inside the exact validators, and validator
     escalation per :data:`VALIDATOR_ESCALATION` when the named
     validator fails entirely. ``fallback=False`` lets the original
-    exception propagate instead.
+    exception propagate instead. An option the validator does not take
+    raises ``TypeError`` up front and never escalates; the escalation
+    target gets ``fallback`` only, not the failed validator's options.
     """
     if name not in VALIDATORS:
         raise KeyError(f"unknown validator {name!r}; known: {sorted(VALIDATORS)}")
+    validate = VALIDATORS[name]
     start = time.perf_counter()
     used = name
     try:
-        valid, witness, extra = VALIDATORS[name](
-            matrix, fallback=fallback, **options
-        )
+        valid, witness, extra = validate(matrix, fallback=fallback, **options)
     except Exception as exc:
         escalation = VALIDATOR_ESCALATION.get(name) if fallback else None
         if escalation is None:
             raise
+        # An option the validator does not take failed the call before
+        # its body ran: that is the caller's error, not a reason to
+        # escalate, so re-raise it from here.
+        inspect.signature(validate).bind(matrix, fallback=fallback, **options)
         valid, witness, extra = VALIDATORS[escalation](
-            matrix, fallback=fallback, **options
+            matrix, fallback=fallback
         )
         extra = dict(extra)
         extra["escalated_from"] = name

@@ -7,6 +7,7 @@ faults retried, permanent faults recorded once, and journal corruption
 healed by the next resume.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -24,7 +25,9 @@ from repro.runner import (
     Journal,
     RetryPolicy,
     TimingCollector,
+    journal_digest,
     run_tasks,
+    task_fingerprint,
 )
 from repro.runner.chaos import inject
 from repro.service import CampaignEngine
@@ -183,6 +186,57 @@ class TestPooledChaos:
             t.value if kind == "ok" else None
             for t, (kind, _) in zip(tasks, expected)
         ]
+
+
+class TestPooledJournal:
+    """The parent journals each pooled outcome once, whatever happens
+    to the workers that computed it."""
+
+    TASKS = 12
+    KILLS = ChaosPolicy(seed=11, kill_rate=0.3)
+
+    def _campaign(self, path, jobs, policy=None):
+        tasks = [EchoTask(i) for i in range(self.TASKS)]
+        if policy is not None:
+            tasks = inject(tasks, policy)
+        with Journal(path) as journal:
+            return run_tasks(tasks, jobs=jobs, journal=journal, retry=RETRY)
+
+    def test_digest_independent_of_job_count(self, tmp_path):
+        self._campaign(tmp_path / "serial.jsonl", jobs=1)
+        self._campaign(tmp_path / "pooled.jsonl", jobs=2)
+        assert journal_digest(tmp_path / "serial.jsonl") == journal_digest(
+            tmp_path / "pooled.jsonl"
+        )
+
+    def test_worker_kills_lose_or_duplicate_no_line(self, tmp_path):
+        tasks = [EchoTask(i) for i in range(self.TASKS)]
+        expected = [_expected_outcome(t, self.KILLS, 8) for t in tasks]
+        assert all(kind == "ok" for kind, _ in expected)
+        assert any(attempt > 1 for _, attempt in expected)  # kills land
+        path = tmp_path / "killed.jsonl"
+        assert self._campaign(path, jobs=2, policy=self.KILLS) == list(
+            range(self.TASKS)
+        )
+        lines = [json.loads(raw) for raw in path.read_bytes().splitlines()]
+        assert sorted(line["fp"] for line in lines) == sorted(
+            task_fingerprint(t) for t in tasks
+        )
+        by_fp = {line["fp"]: line for line in lines}
+        for task, (_kind, attempts) in zip(tasks, expected):
+            line = by_fp[task_fingerprint(task)]
+            assert (line["status"], line["result"]) == ("ok", task.value)
+            assert line["attempts"] == attempts
+        # The killed attempts are counted, so the digest is not the
+        # clean campaign's.
+        self._campaign(tmp_path / "clean.jsonl", jobs=2)
+        assert journal_digest(path) != journal_digest(tmp_path / "clean.jsonl")
+
+        stats = CampaignStats()
+        with Journal(path, resume=True) as journal:
+            rerun = run_tasks(tasks, jobs=2, journal=journal, stats=stats)
+        assert rerun == list(range(self.TASKS))
+        assert (stats.replayed, stats.executed) == (self.TASKS, 0)
 
 
 class TestJournalChaos:

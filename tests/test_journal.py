@@ -1,11 +1,14 @@
 """Tests for the crash-safe result journal (repro.runner.journal).
 
 Property-based coverage of the tagged encoding (exact round-trip),
-fingerprint stability (including across processes), and the torn-line
-tolerance that makes mid-write crashes recoverable.
+fingerprint stability (including across processes), the torn-line
+tolerance that makes mid-write crashes recoverable, and the
+``python -m repro.runner.journal digest`` command.
 """
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,9 +23,12 @@ from repro.runner import (
     JOURNAL_SALT,
     Journal,
     Task,
+    journal_digest,
     task_fingerprint,
 )
 from repro.runner.journal import decode_value, encode_value
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 #: A CegisTask journal line byte for byte as commit ``8d9fd72`` wrote
@@ -197,7 +203,7 @@ class TestFingerprints:
         for seed in ("0", "1", "random"):
             out = subprocess.run(
                 [sys.executable, "-c", code],
-                capture_output=True, text=True, check=True,
+                capture_output=True, text=True, check=True, cwd=REPO_ROOT,
                 env={"PYTHONHASHSEED": seed, "PYTHONPATH": "src:."},
             )
             assert out.stdout.strip() == local
@@ -330,3 +336,41 @@ class TestRunTasksReplay:
         assert results == list(range(6))
         assert stats.replayed == 2
         assert stats.executed == 4
+
+    def test_cegis_record_journaled_as_tagged_json(self, tmp_path):
+        from repro.runner import CampaignStats, CegisTask, run_tasks
+
+        def task():
+            return CegisTask(
+                "size3", 3, "attracting", synthesis="full",
+                max_iterations=6_000,
+            )
+
+        path = tmp_path / "cegis.jsonl"
+        with Journal(path) as journal:
+            [record] = run_tasks([task()], journal=journal)
+        [line] = path.read_text().splitlines()
+        assert json.loads(line)["result"]["__rec__"] == "CegisRecord"
+        stats = CampaignStats()
+        with Journal(path, resume=True) as journal:
+            [replayed] = run_tasks([task()], journal=journal, stats=stats)
+        assert (stats.replayed, stats.executed) == (1, 0)
+        assert replayed == record
+
+
+class TestJournalCLI:
+    def test_digest_command(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with Journal(path) as journal:
+            journal.record("aa", "T", "ok", 1)
+            journal.record("bb", "T", "ok", 2)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.runner.journal", "digest",
+             str(path)],
+            capture_output=True, text=True, cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert proc.returncode == 0
+        digest, count = proc.stdout.split()
+        assert digest == journal_digest(path)
+        assert count == "2"

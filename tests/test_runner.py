@@ -355,6 +355,37 @@ class TestTimingArtifact:
         assert all("synth_s" in e and "validate_s" in e for e in entries)
 
 
+class TestCampaignCounters:
+    def test_requeued_hidden_when_zero(self):
+        stats = CampaignStats(total=3, executed=3)
+        assert "requeued" not in stats.summary()
+
+    def test_requeued_rendered(self):
+        stats = CampaignStats(
+            total=3, executed=3, requeued_tasks=2, requeue_attempts=3,
+        )
+        assert "2 requeued (+3 attempts)" in stats.summary()
+
+    def test_counters_snapshot(self):
+        stats = CampaignStats(requeued_tasks=1)
+        counters = stats.counters()
+        assert counters["requeued_tasks"] == 1
+        assert set(counters) == {
+            "total", "executed", "replayed", "retried_tasks",
+            "retry_attempts", "requeued_tasks", "requeue_attempts",
+            "degraded", "errors", "timeouts", "journal_errors",
+        }
+
+    def test_write_bench_records_campaign(self, tmp_path):
+        stats = CampaignStats(total=5, executed=4, replayed=1)
+        data = write_bench(
+            tmp_path / "bench.json", "t", TimingCollector(), jobs=2,
+            quick=True, total_wall_s=1.0, stats=stats,
+        )
+        entry = data["experiments"]["t"]
+        assert entry["campaign"] == stats.counters()
+
+
 class TestParallelEquivalence:
     @pytest.fixture(scope="class")
     def serial_and_parallel(self):

@@ -15,6 +15,15 @@ from repro.validate import (
 
 EXACT_VALIDATORS = ["sylvester", "gauss", "ldl", "sympy"]
 ALL_VALIDATORS = EXACT_VALIDATORS + ["icp", "icp+det"]
+#: One option each validator takes besides the matrix.
+KNOWN_OPTION = {
+    "sylvester": {"backend": "int"},
+    "gauss": {"backend": "int"},
+    "ldl": {"backend": "fraction"},
+    "sympy": {"fallback": False},
+    "icp": {"max_boxes": 50_000},
+    "icp+det": {"delta": 1e-6},
+}
 
 
 def stable_matrix(n, seed=0):
@@ -38,6 +47,14 @@ class TestRunValidator:
         assert result.valid is False
         assert result.counterexample is not None
         assert m.quadratic_form(result.counterexample) <= 0
+
+    @pytest.mark.parametrize("name", ALL_VALIDATORS)
+    def test_unknown_option_raises(self, name):
+        # Escalation to sympy must not swallow a misspelled option.
+        m = RationalMatrix([[2, 1], [1, 2]])
+        assert run_validator(name, m, **KNOWN_OPTION[name]).valid is True
+        with pytest.raises(TypeError, match="typo_backend"):
+            run_validator(name, m, typo_backend="int")
 
     def test_unknown_validator(self):
         with pytest.raises(KeyError):
@@ -196,6 +213,16 @@ class TestGracefulDegradation:
         assert result.extra["escalated_from"] == "sylvester"
         assert "sylvester imploded" in result.extra["escalation_error"]
         assert result.degraded
+
+    def test_escalation_drops_the_failed_validators_options(
+        self, monkeypatch
+    ):
+        self._break_sylvester(monkeypatch)
+        result = run_validator(
+            "sylvester", RationalMatrix([[2, 1], [1, 2]]), backend="int"
+        )
+        assert result.valid is True
+        assert result.validator == "sympy"
 
     def test_escalation_opt_out(self, monkeypatch):
         self._break_sylvester(monkeypatch)
