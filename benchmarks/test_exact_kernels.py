@@ -1,8 +1,6 @@
 """Micro-benchmark: exact kernel backends against the Fraction oracle.
 
-Pins the tentpole perf claims of the kernel layer and records the
-measured per-backend wall times into the ``kernels`` section of
-``BENCH_experiments.json`` (schema ``repro-bench/2``):
+Pins the tentpole perf claims of the kernel layer:
 
 1. at n=10 the int-Bareiss and multimodular determinant paths are not
    slower than the Fraction oracle;
@@ -23,9 +21,7 @@ Hadamard bounds of ~2700 bits at n=18.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 import warnings
 from fractions import Fraction
@@ -35,15 +31,10 @@ import numpy as np
 from repro.exact import (
     RationalMatrix,
     bareiss_determinant,
-    kernel_cache_info,
     leading_principal_minors,
 )
-from repro.runner import write_kernels_bench
 from repro.validate.pipeline import lie_derivative_exact
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / (
-    "BENCH_experiments.json"
-)
 SIZES = (3, 5, 10, 15, 18, 21)
 BACKENDS = ("fraction", "int", "modular")
 
@@ -89,17 +80,6 @@ def reference_lie(p, a):
             for i in range(n)]
 
 
-def _merge_kernels_bench(entries: dict) -> dict:
-    """Update keys of the ``kernels`` section, keeping the others."""
-    current = {}
-    if BENCH_PATH.exists():
-        try:
-            current = json.loads(BENCH_PATH.read_text()).get("kernels", {})
-        except ValueError:
-            current = {}
-    return write_kernels_bench(BENCH_PATH, {**current, **entries})
-
-
 def _best_of(fn, reps=3):
     best = float("inf")
     for _ in range(reps):
@@ -109,7 +89,7 @@ def _best_of(fn, reps=3):
     return best
 
 
-def test_kernel_backends_scaling_writes_bench():
+def test_kernel_backends_scaling():
     sizes = {}
     for n in SIZES:
         matrix = lie_shaped(n, seed=7)
@@ -147,16 +127,8 @@ def test_kernel_backends_scaling_writes_bench():
     assert at18["modular_det_s"] * 5 <= at18["fraction_det_s"]
     assert at18["int_minors_s"] * 5 <= at18["fraction_minors_s"]
 
-    data = _merge_kernels_bench(
-        {"sizes": sizes, "cache": kernel_cache_info()}
-    )
-    assert data["schema"] == "repro-bench/2"
-    on_disk = json.loads(BENCH_PATH.read_text())
-    assert set(on_disk["kernels"]["sizes"]) == {str(n) for n in SIZES}
-    assert "experiments" in on_disk
 
-
-def test_lie_derivative_speedup_pin_writes_bench():
+def test_lie_derivative_speedup_pin():
     soft = bool(os.environ.get("REPRO_PERF_SOFT"))
     n = 21
     p, a_exact = lie_inputs(n, seed=7)
@@ -167,16 +139,6 @@ def test_lie_derivative_speedup_pin_writes_bench():
     reference_s = _best_of(lambda: reference_lie(p, a_exact))
     normal_form_s = _best_of(lambda: lie_derivative_exact(p, a_exact), reps=7)
     speedup = reference_s / normal_form_s
-    _merge_kernels_bench(
-        {
-            "lie_derivative": {
-                "n": n,
-                "reference_s": reference_s,
-                "normal_form_s": normal_form_s,
-                "speedup": speedup,
-            }
-        }
-    )
     floor = LIE_SOFT_FLOOR if soft else LIE_PIN
     if soft and speedup < LIE_PIN:
         warnings.warn(
@@ -189,5 +151,3 @@ def test_lie_derivative_speedup_pin_writes_bench():
         f"{speedup:.1f}x faster than the entry-by-entry reference "
         f"{reference_s * 1e3:.2f} ms (floor {floor:g}x)"
     )
-    on_disk = json.loads(BENCH_PATH.read_text())
-    assert on_disk["kernels"]["lie_derivative"]["n"] == n

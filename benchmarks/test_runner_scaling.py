@@ -1,8 +1,6 @@
 """Micro-benchmark: runner scaling and the single-pass Sylvester ablation.
 
-Two perf claims are pinned here and tracked across PRs via the
-``BENCH_experiments.json`` artifact (written at the repo root by this
-module and by ``python -m repro.experiments``):
+Two perf claims are pinned here:
 
 1. the process-pool runner is not slower than serial execution beyond
    noise, and genuinely overlaps waiting tasks (asserted with
@@ -15,8 +13,6 @@ module and by ``python -m repro.experiments``):
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
 import random
 import time
 from fractions import Fraction
@@ -27,12 +23,9 @@ from repro.exact import (
     sylvester_positive_definite,
 )
 from repro.experiments import MethodKey, run_table1
-from repro.runner import Task, TimingCollector, run_tasks, write_bench
+from repro.runner import Task, TimingCollector, run_tasks
 from repro.service import CampaignEngine
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / (
-    "BENCH_experiments.json"
-)
 QUICK_METHODS = [MethodKey("eq-num"), MethodKey("lmi", "shift")]
 
 
@@ -42,9 +35,6 @@ class WaitTask(Task):
 
     def __init__(self, seconds):
         self.seconds = seconds
-
-    def key(self):
-        return {"case": f"wait-{self.seconds}"}
 
     def run(self):
         time.sleep(self.seconds)
@@ -67,16 +57,13 @@ def test_parallel_not_slower_than_serial():
     assert parallel_s <= serial_s * 0.75 + 0.2
 
 
-def test_quick_grid_scaling_writes_bench():
+def test_quick_grid_scaling():
     """The real quick Table I grid at --jobs 1 vs --jobs 2: identical
     records (modulo measured wall times), wall-clock not slower beyond
-    noise, per-task timings recorded into BENCH_experiments.json."""
+    noise, one timing record per task."""
     kwargs = dict(sizes=(3,), integer_sizes=(3,), methods=QUICK_METHODS)
-    serial_timing = TimingCollector()
     (serial_records, _), serial_s = _timed(
-        lambda: run_table1(
-            engine=CampaignEngine(jobs=1, timing=serial_timing), **kwargs
-        )
+        lambda: run_table1(engine=CampaignEngine(jobs=1), **kwargs)
     )
     parallel_timing = TimingCollector()
     (parallel_records, _), parallel_s = _timed(
@@ -97,27 +84,7 @@ def test_quick_grid_scaling_writes_bench():
     # single-core box two workers only add overhead — they must not
     # add much. Multi-core machines land well under 1x.
     assert parallel_s <= serial_s * 3.0 + 1.0
-
-    write_bench(
-        BENCH_PATH, "bench-table1-serial", serial_timing,
-        jobs=1, quick=True, total_wall_s=serial_s,
-    )
-    data = write_bench(
-        BENCH_PATH, "bench-table1-parallel", parallel_timing,
-        jobs=2, quick=True, total_wall_s=parallel_s,
-    )
-    assert BENCH_PATH.exists()
-    on_disk = json.loads(BENCH_PATH.read_text())
-    assert on_disk["schema"] == data["schema"] == "repro-bench/2"
-    tasks = on_disk["experiments"]["bench-table1-parallel"]["tasks"]
-    assert len(tasks) == 8
-    assert {(t["case"], t["mode"], t["method"], t["backend"])
-            for t in tasks} == {
-        (case, mode, key.method, key.backend)
-        for case in ("size3i", "size3")
-        for mode in (0, 1)
-        for key in QUICK_METHODS
-    }
+    assert len(parallel_timing.timings) == 8
 
 
 def _per_minor_sylvester(matrix):

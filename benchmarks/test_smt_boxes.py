@@ -1,8 +1,6 @@
 """Benchmark: batched ICP engine vs the scalar branch-and-prune.
 
-Pins the tentpole perf claims of the vectorized refuter and records the
-measured throughputs into the ``icp`` section of
-``BENCH_experiments.json`` (schema ``repro-bench/2``):
+Pins the tentpole perf claims of the vectorized refuter:
 
 1. raw classification throughput — one ``classify_boxes`` pass over a
    definiteness-shaped box population must clear 5x the scalar
@@ -27,9 +25,7 @@ than pinned, and ``backend="scalar"`` remains a supported escape.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 import warnings
 from fractions import Fraction
@@ -37,7 +33,6 @@ from fractions import Fraction
 import numpy as np
 
 from repro.exact import RationalMatrix
-from repro.runner import write_section
 from repro.smt import (
     Box,
     Interval,
@@ -48,10 +43,6 @@ from repro.smt import (
     quadratic_form_term,
 )
 from repro.smt.icp import prepare_atoms
-
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / (
-    "BENCH_experiments.json"
-)
 
 #: Classification-throughput pin (measured ~200x on one core).
 PIN_CLASSIFY = 5.0
@@ -129,7 +120,7 @@ def _near_singular_matrix(n=4, margin=Fraction(1, 100)):
     return (m - RationalMatrix.identity(n).scale(shift)).symmetrize()
 
 
-def test_icp_backends_throughput_writes_bench():
+def test_icp_backends_throughput():
     soft = bool(os.environ.get("REPRO_PERF_SOFT"))
     atoms, boxes = _definiteness_population()
     prepared = prepare_atoms(atoms)
@@ -174,38 +165,6 @@ def test_icp_backends_throughput_writes_bench():
     )
     e2e_speedup = e2e_scalar_s / e2e_batched_s
     _soft_pin("end-to-end", e2e_speedup, PIN_END_TO_END, soft)
-
-    data = write_section(
-        BENCH_PATH,
-        "icp",
-        {
-            "classification": {
-                "boxes": POPULATION,
-                "dimension": DIMENSION,
-                "scalar_s": scalar_s,
-                "batched_s": batched_s,
-                "scalar_boxes_per_s": POPULATION / scalar_s,
-                "batched_boxes_per_s": POPULATION / batched_s,
-                "speedup": classify_speedup,
-            },
-            "end_to_end": {
-                "workload": "near-singular 4x4 definiteness refutation",
-                "max_boxes": REFUTE_BUDGET,
-                "boxes_explored": scalar_outcome.boxes_explored,
-                "verdict": scalar_outcome.verdict,
-                "scalar_s": e2e_scalar_s,
-                "batched_s": e2e_batched_s,
-                "speedup": e2e_speedup,
-            },
-            "pin_classify_speedup": PIN_CLASSIFY,
-            "pin_end_to_end_speedup": PIN_END_TO_END,
-            "soft_mode": soft,
-        },
-    )
-    assert data["schema"] == "repro-bench/2"
-    on_disk = json.loads(BENCH_PATH.read_text())
-    assert on_disk["icp"]["classification"]["speedup"] >= 1.0
-    assert "experiments" in on_disk
 
 
 def test_shape_small_searches_prefer_scalar():

@@ -8,11 +8,10 @@ grid out over N worker processes (default: all CPU cores; ``--jobs 1``
 runs in-process) — results are re-sorted into submission order, so the
 rendered output is independent of N. ``--record DIR`` saves each
 experiment's rendered output as ``<experiment>_full.txt`` (or
-``_quick``), the files EXPERIMENTS.md references. Unless ``--no-bench``
-is given, per-task wall times are merged into ``BENCH_experiments.json``
-(see :mod:`repro.runner.timing` for the schema) so the performance
-trajectory is tracked across PRs. The piecewise experiment additionally
-takes ``--solver hybrid|ellipsoid|barrier`` (default ``hybrid``: the
+``_quick``), the files EXPERIMENTS.md references, and ``--json PATH``
+dumps the raw records; apart from these and ``--journal``, the CLI
+writes no file. The piecewise experiment additionally takes
+``--solver hybrid|ellipsoid|barrier`` (default ``hybrid``: the
 tensorized ellipsoid burn-in + warm-started barrier polish) and
 ``--oracle-batch on|off`` (``off`` restores the per-block differential
 separation oracle). The ``cegis`` experiment runs the
@@ -35,18 +34,10 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-import time
 
 import dataclasses
 
-from ..runner import (
-    CampaignStats,
-    Journal,
-    RetryPolicy,
-    TimingCollector,
-    resolve_jobs,
-    write_bench,
-)
+from ..runner import CampaignStats, Journal, RetryPolicy
 from ..service.engine import CampaignEngine
 from .cegis import render_cegis, run_cegis
 from .figure3 import render_figure3, run_figure3
@@ -56,13 +47,12 @@ from .table1 import render_sweep, render_table1, rounding_sweep, run_table1
 from .table2 import render_table2, run_table2
 
 
-def _engine(args, timing, campaign) -> CampaignEngine:
+def _engine(args, campaign) -> CampaignEngine:
     """One shared campaign engine per experiment run (see
     :mod:`repro.service.engine`)."""
     engine = CampaignEngine(
         jobs=args.jobs,
         task_deadline=args.task_deadline,
-        timing=timing,
         journal=campaign.journal,
         retry=campaign.retry,
     )
@@ -85,10 +75,10 @@ class _Campaign:
         self.fallback = not args.no_fallback
 
 
-def _table1(args, timing, campaign) -> str:
+def _table1(args, campaign) -> str:
     sizes = (3, 5) if args.quick else (3, 5, 10, 15, 18)
     deadline = 5.0 if args.quick else args.eq_smt_deadline
-    engine = _engine(args, timing, campaign)
+    engine = _engine(args, campaign)
     records, candidates = run_table1(
         sizes=sizes, eq_smt_deadline=deadline, keep_candidates=True,
         fallback=campaign.fallback, engine=engine,
@@ -107,48 +97,48 @@ def _table1(args, timing, campaign) -> str:
     return text
 
 
-def _figure3(args, timing, campaign) -> str:
+def _figure3(args, campaign) -> str:
     sizes = (3, 5) if args.quick else (3, 5, 10, 15, 18)
     records = run_figure3(
         sizes=sizes, fallback=campaign.fallback,
-        engine=_engine(args, timing, campaign),
+        engine=_engine(args, campaign),
     )
     if args.json:
         dump_records(records, args.json)
     return render_figure3(records)
 
 
-def _piecewise(args, timing, campaign) -> str:
+def _piecewise(args, campaign) -> str:
     names = ("size3",) if args.quick else ("size3", "size5")
     iterations = 6_000 if args.quick else 20_000
     records = run_piecewise(
         case_names=names, max_iterations=iterations,
         solver=args.solver, oracle_batch=args.oracle_batch == "on",
-        engine=_engine(args, timing, campaign),
+        engine=_engine(args, campaign),
     )
     if args.json:
         dump_records(records, args.json)
     return render_piecewise(records)
 
 
-def _cegis(args, timing, campaign) -> str:
+def _cegis(args, campaign) -> str:
     names = ("size3",) if args.quick else ("size3", "size5", "size10")
     records = run_cegis(
         case_names=names,
         max_rounds=args.cegis_rounds,
         max_iterations=6_000 if args.quick else 30_000,
-        engine=_engine(args, timing, campaign),
+        engine=_engine(args, campaign),
     )
     if args.json:
         dump_records(records, args.json)
     return render_cegis(records)
 
 
-def _table2(args, timing, campaign) -> str:
+def _table2(args, campaign) -> str:
     names = ("size3", "size5") if args.quick else ("size15", "size18")
     records = run_table2(
         case_names=names, fallback=campaign.fallback,
-        engine=_engine(args, timing, campaign),
+        engine=_engine(args, campaign),
     )
     if args.json:
         dump_records(records, args.json)
@@ -215,14 +205,6 @@ def main(argv: list[str] | None = None) -> int:
         help="save rendered output to DIR/<experiment>_full|_quick.txt",
     )
     parser.add_argument(
-        "--bench", type=str, default="BENCH_experiments.json", metavar="PATH",
-        help="per-task timing artifact (merged per experiment)",
-    )
-    parser.add_argument(
-        "--no-bench", action="store_true",
-        help="skip writing the timing artifact",
-    )
-    parser.add_argument(
         "--journal", type=str, default=None, metavar="PATH",
         help="append-only JSONL result journal (crash-safe campaign state)",
     )
@@ -255,18 +237,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in chosen:
             if args.experiment == "all":
                 print(f"\n=== {name} ===")
-            timing = None if args.no_bench else TimingCollector()
             campaign = _Campaign(args, journal)
-            started = time.perf_counter()
-            text = COMMANDS[name](args, timing, campaign)
-            elapsed = time.perf_counter() - started
-            if timing is not None:
-                write_bench(
-                    args.bench, name, timing,
-                    jobs=resolve_jobs(args.jobs), quick=args.quick,
-                    total_wall_s=elapsed,
-                    stats=campaign.stats,
-                )
+            text = COMMANDS[name](args, campaign)
             print(text)
             # Campaign counters go to the terminal only, never into the
             # --record files: resumed runs must stay byte-identical.

@@ -64,7 +64,7 @@ class Table1Record:
     sigfigs: int = 10
     #: Validator fallback/escalation hops (ValidationReport.degraded);
     #: empty for a clean run. Renderers ignore it — tables stay
-    #: byte-identical — but the JSON dump and timing artifact keep it.
+    #: byte-identical — but the JSON dump and the journal keep it.
     degraded: list = field(default_factory=list)
 
 
@@ -116,8 +116,6 @@ class PiecewiseRecord:
     #: Synthesis engine ("hybrid" | "ellipsoid" | "barrier"); defaulted
     #: so pre-existing journals decode into the extended record.
     solver: str = "hybrid"
-    #: Per-phase synthesis wall times (compile_s / oracle_s / polish_s).
-    phases: dict = field(default_factory=dict)
 
 
 @dataclass

@@ -27,9 +27,10 @@ experiment sweeps:
 * ``--plant`` installs a deliberately sign-flipped ``sylvester``
   validator first — the campaign must then *fail*; this is the
   self-test proving the harness detects planted bugs (forces
-  ``--jobs 1`` so the sabotage reaches the executing process);
-* unless ``--no-bench``, a ``"fuzz"`` section (systems/sec, check and
-  disagreement counts) is merged into ``BENCH_experiments.json``.
+  ``--jobs 1`` so the sabotage reaches the executing process).
+
+The CLI writes only the ``--journal`` file and, when a system fails,
+the ``--artifacts`` directory.
 
 Exit status: 0 for a clean campaign, 1 when any system failed, 2 for
 usage errors.
@@ -115,14 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip the minimal-dimension shrinking pass on failures",
     )
     parser.add_argument(
-        "--bench", type=pathlib.Path, default=pathlib.Path("BENCH_experiments.json"),
-        help="bench artifact to merge the 'fuzz' section into",
-    )
-    parser.add_argument(
-        "--no-bench", action="store_true",
-        help="do not write the bench artifact",
-    )
-    parser.add_argument(
         "--plant", action="store_true",
         help="plant a sign-flipped sylvester validator (self-test: the "
         "campaign must fail; forces --jobs 1)",
@@ -206,11 +199,9 @@ def main(argv=None) -> int:
         FuzzTask,
         Journal,
         RetryPolicy,
-        TimingCollector,
         journal_digest,
         resolve_jobs,
         run_tasks,
-        write_section,
     )
 
     profile = _profile(args)
@@ -231,7 +222,6 @@ def main(argv=None) -> int:
         Journal(args.journal, resume=args.resume)
         if args.journal is not None else None
     )
-    timing = TimingCollector()
     stats = CampaignStats()
     start = time.perf_counter()
     # The sabotage must stay armed through the shrinking pass too, or
@@ -243,7 +233,7 @@ def main(argv=None) -> int:
             stack.enter_context(journal)
         records = run_tasks(
             tasks, jobs=jobs, task_deadline=args.task_deadline,
-            collect=timing, journal=journal,
+            journal=journal,
             retry=RetryPolicy(retries=args.retries), stats=stats,
         )
         wall = time.perf_counter() - start
@@ -288,21 +278,4 @@ def main(argv=None) -> int:
         print(f"  journal digest: {journal_digest(args.journal)}")
     if failures:
         print(f"  artifacts: {args.artifacts}/failures.jsonl")
-
-    if not args.no_bench:
-        write_section(args.bench, "fuzz", {
-            "profile": profile.name,
-            "systems": len(records),
-            "seed": args.seed,
-            "jobs": jobs,
-            "campaign": stats.counters(),
-            "checks": total_checks,
-            "failing_systems": len(failures),
-            "disagreements": sum(len(r.disagreements) for r in records),
-            "harness_errors": sum(len(r.harness_errors) for r in records),
-            "synth": synth_counts,
-            "total_wall_s": wall,
-            "systems_per_s": rate,
-            "task_wall_s": timing.task_wall_s(),
-        })
     return 1 if failures else 0

@@ -20,8 +20,7 @@ pipeline: the certifying deep-cut ellipsoid method
 (``solver="barrier"``), or the default two-stage *hybrid* — an
 ellipsoid burn-in (which keeps the power to *prove* infeasibility)
 whose best iterate warm-starts a Newton barrier polish via
-``initial=``, mirroring :func:`repro.sdp.solve_ipm`'s warm-start
-machinery. Like the numerical solvers in the paper,
+``initial=``. Like the numerical solvers in the paper,
 :func:`synthesize_piecewise` returns its best iterate as a *candidate*
 even when convergence is not certified. Exact validation of the
 surface condition then fails on rounded candidates — the negative
@@ -144,10 +143,7 @@ def synthesize_piecewise(
     ``oracle_batch`` toggles the tensorized batched separation oracle
     (``False`` = the original per-block differential oracle), and
     ``sweep_every`` its active-set mode (full violation sweep every K
-    iterations; ``None`` = every iteration). Phase wall times are
-    reported in ``info["phases"]`` as ``compile_s`` (block construction
-    + tensor compilation), ``oracle_s`` (ellipsoid) and ``polish_s``
-    (barrier).
+    iterations; ``None`` = every iteration).
     """
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}")
@@ -271,11 +267,6 @@ def synthesize_piecewise(
         blocks.append(LmiBlock(cap, coeffs, name=f"cap{mode}"))
 
     compiled = CompiledLmiSystem(blocks, dim)
-    phases = {
-        "compile_s": time.perf_counter() - start,  # blocks + tensors
-        "oracle_s": 0.0,
-        "polish_s": 0.0,
-    }
 
     # Like the paper's numerical solvers, keep the best iterate as a
     # *candidate* even when the LMI system is (provably) infeasible.
@@ -284,7 +275,6 @@ def synthesize_piecewise(
         budget = max_iterations
         if solver == "hybrid" and burn_in is not None:
             budget = min(burn_in, max_iterations)
-        phase_started = time.perf_counter()
         result = solve_lmi_ellipsoid(
             blocks,
             dimension=dim,
@@ -295,7 +285,6 @@ def synthesize_piecewise(
             sweep_every=sweep_every if oracle_batch else None,
             compiled=compiled if oracle_batch else None,
         )
-        phases["oracle_s"] = time.perf_counter() - phase_started
         x = result.x
         feasible = result.feasible
         iterations = result.iterations
@@ -305,7 +294,6 @@ def synthesize_piecewise(
             # Polish phase: warm-start the barrier's Newton centering
             # from the burn-in iterate and keep whichever iterate has
             # the better joint margin (t_star = -worst violation).
-            phase_started = time.perf_counter()
             polish = solve_lmi_barrier(
                 None,
                 dimension=dim,
@@ -315,14 +303,12 @@ def synthesize_piecewise(
                 initial=x,
                 compiled=compiled,
             )
-            phases["polish_s"] = time.perf_counter() - phase_started
             polish_iterations = polish.iterations
             if -polish.t_star <= worst:
                 x = polish.x
                 worst = -polish.t_star
                 feasible = feasible or polish.feasible
     else:
-        phase_started = time.perf_counter()
         barrier = solve_lmi_barrier(
             None,
             dimension=dim,
@@ -330,7 +316,6 @@ def synthesize_piecewise(
             target_margin=0.0,
             compiled=compiled,
         )
-        phases["polish_s"] = time.perf_counter() - phase_started
         x = barrier.x
         feasible = barrier.feasible
         iterations = barrier.iterations
@@ -367,6 +352,5 @@ def synthesize_piecewise(
             "oracle_batch": oracle_batch,
             "sweep_every": sweep_every,
             "polish_iterations": polish_iterations,
-            "phases": phases,
         },
     )

@@ -7,8 +7,9 @@ pulling the whole oracle package into every journal load.
 Determinism contract: a :class:`FuzzRecord` must contain **no wall-clock
 times** (and nothing else nondeterministic) — two fuzz runs with the
 same seed must journal byte-identical records, which is how the CLI's
-journal digest proves reproducibility. Timings ride in the runner's
-:class:`~repro.runner.timing.TimingCollector` instead.
+journal digest proves reproducibility. Per-task wall times go to a
+:class:`~repro.runner.TimingCollector` instead, when the caller passes
+one.
 """
 
 from __future__ import annotations

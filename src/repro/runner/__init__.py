@@ -1,4 +1,4 @@
-"""Parallel experiment execution (process pool, timing, task protocol,
+"""Parallel experiment execution (process pool, task protocol,
 durability).
 
 The paper's headline cost is the Table I / Table II / Figure 3 grid —
@@ -7,9 +7,9 @@ synthesis+validation tasks. :func:`run_tasks` fans them out over
 shared-nothing worker processes with per-task wall-clock deadlines,
 deterministic result ordering, retry-with-backoff for transient
 failures, and graceful degradation to in-process execution (``jobs=1``
-or no usable pool). :mod:`repro.runner.timing` records per-task wall
-times into the ``BENCH_experiments.json`` performance-trajectory
-artifact; :mod:`repro.runner.journal` persists every completed verdict
+or no usable pool). A :class:`TimingCollector` passed as ``collect=``
+receives one :class:`TaskTiming` (status, wall time, worker, attempts)
+per task; :mod:`repro.runner.journal` persists every completed verdict
 to an append-only fsync'd JSONL journal so killed campaigns resume by
 replay, and :func:`journal_digest` hashes a journal independently of
 the order its lines were written in; :mod:`repro.runner.chaos` injects
@@ -20,6 +20,8 @@ from .core import (
     CampaignStats,
     RetryPolicy,
     Task,
+    TaskTiming,
+    TimingCollector,
     TransientTaskError,
     resolve_jobs,
     run_tasks,
@@ -48,14 +50,6 @@ from .tasks import (
     RevalidateTask,
     Table1Task,
     Table2Task,
-)
-from .timing import (
-    BENCH_SCHEMA,
-    TaskTiming,
-    TimingCollector,
-    write_bench,
-    write_kernels_bench,
-    write_section,
 )
 
 __all__ = [
@@ -86,8 +80,4 @@ __all__ = [
     "FuzzTask",
     "TaskTiming",
     "TimingCollector",
-    "write_bench",
-    "write_section",
-    "write_kernels_bench",
-    "BENCH_SCHEMA",
 ]

@@ -20,9 +20,9 @@ how many other tasks run: chaos campaigns are exactly reproducible, and
 a *retried* attempt draws fresh (otherwise an injected fault would
 repeat forever and retries could never succeed).
 
-The wrapper delegates fingerprints, keys, failure hooks and timing
-detail to the wrapped task, so a chaos campaign journals and resumes
-exactly like a clean one.
+The wrapper delegates fingerprints and failure hooks to the wrapped
+task, so a chaos campaign journals and resumes exactly like a clean
+one.
 """
 
 from __future__ import annotations
@@ -94,17 +94,11 @@ class ChaosTask(Task):
     def fingerprint_spec(self):
         return self.inner.fingerprint_spec()
 
-    def key(self):
-        return self.inner.key()
-
     def on_timeout(self, elapsed):
         return self.inner.on_timeout(elapsed)
 
     def on_error(self, message):
         return self.inner.on_error(message)
-
-    def timing_detail(self, result):
-        return self.inner.timing_detail(result)
 
     # -- fault injection -----------------------------------------------
 

@@ -26,8 +26,8 @@ serial run:
   domain exceptions out of :meth:`Task.run` — are recorded once, with
   a structured ``{"exc", "transient"}`` error record, and never
   retried. Attempt numbers are global per task across retries and
-  requeues; attempt, retry and requeue counts flow into the timing
-  artifact and the :class:`CampaignStats` summary.
+  requeues; attempt, retry and requeue counts flow into the per-task
+  :class:`TaskTiming` records and the :class:`CampaignStats` summary.
 * **Durability** — pass ``journal=`` (a
   :class:`repro.runner.journal.Journal`) and every completed outcome is
   fsync'd to an append-only JSONL file keyed by task fingerprint;
@@ -61,13 +61,13 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_ready
 
-from .timing import TaskTiming, TimingCollector
-
 __all__ = [
     "Task",
     "TransientTaskError",
     "RetryPolicy",
     "CampaignStats",
+    "TaskTiming",
+    "TimingCollector",
     "run_tasks",
     "resolve_jobs",
 ]
@@ -98,10 +98,6 @@ class Task:
     def run(self):
         """Execute the task and return its result (runs in a worker)."""
         raise NotImplementedError
-
-    def key(self) -> dict | None:
-        """Identifying fields for timing records, e.g. ``{"case": ...}``."""
-        return None
 
     def fingerprint_spec(self) -> tuple[str, dict]:
         """``(kind, fields)`` identifying this task for the journal.
@@ -135,10 +131,6 @@ class Task:
     def on_error(self, message: str):
         """Result recorded when the task raises (or its worker crashes)."""
         return None
-
-    def timing_detail(self, result) -> dict:
-        """Extra per-task timing fields extracted from a successful result."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -222,7 +214,7 @@ class CampaignStats:
         return "campaign: " + ", ".join(parts)
 
     def counters(self) -> dict:
-        """Plain-dict snapshot for the timing artifact."""
+        """Plain-dict snapshot of every counter."""
         return {
             "total": self.total,
             "executed": self.executed,
@@ -236,6 +228,37 @@ class CampaignStats:
             "timeouts": self.timeouts,
             "journal_errors": self.journal_errors,
         }
+
+
+@dataclass
+class TaskTiming:
+    """Wall-clock record of one runner task.
+
+    ``wall_s`` accumulates across retry attempts; ``attempts`` is the
+    number of attempts actually made (0 for a journal replay). ``error``
+    is the runner's structured failure record
+    (``{"exc": message, "transient": bool}``) when the task ultimately
+    failed, ``None`` otherwise. ``requeues`` counts the attempts caused
+    by infrastructure failure (worker death, deadline kill) rather than
+    a policy retry.
+    """
+
+    status: str  # "ok" | "error" | "timeout" | "fallback" | "replayed"
+    wall_s: float
+    worker: str  # worker pid, "local" or "journal"
+    attempts: int = 1
+    error: dict | None = None
+    requeues: int = 0
+
+
+class TimingCollector:
+    """Accumulates :class:`TaskTiming` records across runner calls."""
+
+    def __init__(self) -> None:
+        self.timings: list[TaskTiming] = []
+
+    def record(self, timing: TaskTiming) -> None:
+        self.timings.append(timing)
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -281,7 +304,7 @@ def run_tasks(
 
     ``jobs=None`` uses all available CPUs, ``jobs=1`` runs in-process
     (no pool, no deadline enforcement). ``collect`` receives one
-    :class:`~repro.runner.timing.TaskTiming` per task. ``journal`` (a
+    :class:`TaskTiming` per task. ``journal`` (a
     :class:`repro.runner.journal.Journal`) replays already-recorded
     tasks and persists fresh outcomes; ``retry`` (a
     :class:`RetryPolicy`, or an int shorthand for the retry count)
@@ -336,6 +359,18 @@ def _attempt(task, attempt: int, policy: RetryPolicy):
     return "ok", result, time.perf_counter() - start, None
 
 
+def _degraded(result) -> bool:
+    """Does ``result`` record a backend/validator fallback?
+
+    Reads the record's own ``degraded`` list; a Table I result is a
+    ``(record, candidate)`` pair, so its record is the first element.
+    Results without the field never count.
+    """
+    if isinstance(result, tuple) and result:
+        result = result[0]
+    return bool(getattr(result, "degraded", None))
+
+
 def _journal_outcome(journal, task, fingerprint, status, result, attempts,
                      error) -> None:
     """Append one final outcome (or, under chaos, a torn record)."""
@@ -387,8 +422,7 @@ class _Run:
             self.done[index] = True
             self.stats.replayed += 1
             self._emit_timing(
-                index, "replayed", 0.0, "journal", entry.result,
-                attempts=0, error=entry.error,
+                "replayed", 0.0, "journal", attempts=0, error=entry.error
             )
         return todo
 
@@ -442,35 +476,24 @@ class _Run:
             stats.timeouts += 1
         if error and error.get("journal_error"):
             stats.journal_errors += 1
-        detail = self._emit_timing(
-            index, status, self.walls[index], worker, result,
+        if status in ("ok", "fallback") and _degraded(result):
+            stats.degraded += 1
+        self._emit_timing(
+            status, self.walls[index], worker,
             attempts=self.attempts[index], error=error, requeues=requeues,
         )
-        if detail.get("degraded"):
-            stats.degraded += 1
         if self.journal is not None:
             self._journal_write(index, status, result, error)
 
-    def _emit_timing(
-        self, index, status, wall, worker, result, attempts, error,
-        requeues=0,
-    ) -> dict:
-        task = self.tasks[index]
-        detail: dict = {}
-        if status in ("ok", "fallback", "replayed"):
-            try:
-                detail = task.timing_detail(result) or {}
-            except Exception:
-                detail = {}
+    def _emit_timing(self, status, wall, worker, attempts, error,
+                     requeues=0) -> None:
         if self.collect is not None:
             self.collect.record(
                 TaskTiming(
-                    key=task.key(), status=status, wall_s=wall,
-                    worker=str(worker), detail=detail,
+                    status=status, wall_s=wall, worker=str(worker),
                     attempts=attempts, error=error, requeues=requeues,
                 )
             )
-        return detail
 
     def _journal_write(self, index, status, result, error):
         task = self.tasks[index]

@@ -22,18 +22,16 @@ append-only JSONL file so an interrupted campaign can be resumed with
   fingerprints resolve last-wins.
 * **Replay** — ``run_tasks(..., journal=...)`` consults
   :meth:`Journal.get` per task: a hit short-circuits execution and
-  returns
-  the recorded result (timing status ``"replayed"``), a miss runs the
-  task and appends its outcome. Results round-trip exactly (floats via
-  JSON shortest-repr, ``Fraction``/NumPy/record dataclasses via tagged
-  encoding), so a fully-replayed campaign renders byte-identically to
-  the run that produced the journal.
+  returns the recorded result (timing status ``"replayed"``), a miss
+  runs the task and appends its outcome. Results round-trip exactly
+  (floats via JSON shortest-repr, ``Fraction``/NumPy/record dataclasses
+  via tagged encoding), so a fully-replayed campaign renders
+  byte-identically to the run that produced the journal.
 * **Digests** — records carry no worker or wall-clock identity, only
   content: the same task completed by any worker produces the same line
   bytes (for deterministic result payloads). So the sorted-line digest
   (:func:`journal_digest`) is invariant to the job count and the order
-  tasks finished in; ``python -m repro.runner.journal digest`` prints
-  it.
+  tasks finished in; ``python -m repro.fuzz --journal PATH`` prints it.
 """
 
 from __future__ import annotations
@@ -423,28 +421,3 @@ def journal_digest(path: str | pathlib.Path) -> str:
     """
     lines = sorted({raw for _obj, raw in _raw_entries(pathlib.Path(path))})
     return hashlib.sha256(b"".join(lines)).hexdigest()
-
-
-def _main(argv=None) -> int:
-    """``python -m repro.runner.journal digest PATH``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.runner.journal",
-        description="Print a journal's order-invariant digest.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    digest = sub.add_parser(
-        "digest", help="print 'sha256 entry-count' of a journal"
-    )
-    digest.add_argument("path", type=pathlib.Path)
-    args = parser.parse_args(argv)
-    entries = {obj["fp"] for obj, _raw in _raw_entries(args.path)}
-    print(f"{journal_digest(args.path)} {len(entries)}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    import sys
-
-    sys.exit(_main())

@@ -96,12 +96,6 @@ class Table1Task(Task):
         self.keep_candidate = keep_candidate
         self.fallback = fallback
 
-    def key(self):
-        return {
-            "case": self.case_name, "mode": self.mode,
-            "method": self.method, "backend": self.backend,
-        }
-
     def run(self):
         case = case_by_name(self.case_name)
         a = case.mode_matrix(self.mode)
@@ -144,17 +138,6 @@ class Table1Task(Task):
     def on_error(self, message):
         return self._failed("error")
 
-    def timing_detail(self, result):
-        record, _candidate = result
-        detail = {}
-        if record.synth_time is not None:
-            detail["synth_s"] = record.synth_time
-        if record.validation_time is not None:
-            detail["validate_s"] = record.validation_time
-        if record.degraded:
-            detail["degraded"] = record.degraded
-        return detail
-
 
 class RevalidateTask(Task):
     """Re-validate an existing candidate at a different rounding level."""
@@ -172,13 +155,6 @@ class RevalidateTask(Task):
         self.sigfigs = sigfigs
         self.validator = validator
         self.fallback = fallback
-
-    def key(self):
-        return {
-            "case": self.case_name, "mode": self.mode,
-            "method": self.method, "backend": self.backend,
-            "sigfigs": self.sigfigs,
-        }
 
     def fingerprint_spec(self):
         fields = {
@@ -214,14 +190,6 @@ class RevalidateTask(Task):
     def on_error(self, message):
         return self._record(None, None)
 
-    def timing_detail(self, result):
-        detail = {}
-        if result.validation_time is not None:
-            detail["validate_s"] = result.validation_time
-        if result.degraded:
-            detail["degraded"] = result.degraded
-        return detail
-
 
 class Figure3Task(Task):
     """Validate one shared candidate with one registered validator."""
@@ -239,13 +207,6 @@ class Figure3Task(Task):
         self.validator = validator
         self.options = options
         self.fallback = fallback
-
-    def key(self):
-        return {
-            "case": self.case_name, "mode": self.mode,
-            "method": self.method, "backend": self.backend,
-            "validator": self.validator,
-        }
 
     def fingerprint_spec(self):
         fields = {
@@ -271,12 +232,6 @@ class Figure3Task(Task):
             time=report.total_time,
             degraded=report.degraded,
         )
-
-    def timing_detail(self, result):
-        detail = {"validate_s": result.time}
-        if result.degraded:
-            detail["degraded"] = result.degraded
-        return detail
 
 
 @lru_cache(maxsize=64)
@@ -311,12 +266,6 @@ class Table2Task(Task):
         self.sigfigs = sigfigs
         self.validator = validator
         self.fallback = fallback
-
-    def key(self):
-        return {
-            "case": self.case_name, "mode": self.mode,
-            "method": self.method, "backend": self.backend,
-        }
 
     def _skipped(self, reason):
         return Table2Record(
@@ -395,11 +344,6 @@ class Table2Task(Task):
             epsilon=epsilon(k_float), k=k_float, region_case=region.case,
         )
 
-    def timing_detail(self, result):
-        if result.time is None:
-            return {}
-        return {"region_s": result.time}
-
 
 class PiecewiseTask(Task):
     """One piecewise synthesis+validation attempt (Sec. VI-B.2)."""
@@ -415,9 +359,6 @@ class PiecewiseTask(Task):
         self.conditions_scope = conditions_scope
         self.solver = solver
         self.oracle_batch = oracle_batch
-
-    def key(self):
-        return {"case": self.case_name, "encoding": self.encoding}
 
     def run(self):
         case = case_by_name(self.case_name)
@@ -446,7 +387,6 @@ class PiecewiseTask(Task):
             failed_conditions=report.failed_conditions,
             validation_time=report.time,
             solver=self.solver,
-            phases=dict(candidate.info.get("phases", {})),
         )
 
     def _aborted(self, reason, elapsed):
@@ -464,16 +404,6 @@ class PiecewiseTask(Task):
     def on_error(self, message):
         return self._aborted("task error", 0.0)
 
-    def timing_detail(self, result):
-        detail = {
-            "synth_s": result.synth_time,
-            "validate_s": result.validation_time,
-        }
-        # Per-phase synthesis timings (compile_s/oracle_s/polish_s) flow
-        # into the timing artifact and journal records alongside the
-        # aggregate synth_s.
-        detail.update(result.phases)
-        return detail
 
 class CegisTask(Task):
     """One CEGIS campaign on a benchmark case at a reference regime.
@@ -495,12 +425,6 @@ class CegisTask(Task):
         self.snap = snap
         self.max_rounds = max_rounds
         self.max_iterations = max_iterations
-
-    def key(self):
-        return {
-            "case": self.case_name, "regime": self.regime,
-            "synthesis": self.synthesis, "snap": self.snap,
-        }
 
     def run(self):
         from ..lyapunov import cegis_piecewise
@@ -558,14 +482,6 @@ class CegisTask(Task):
     def on_error(self, message):
         return self._aborted(f"task error: {message}", 0.0)
 
-    def timing_detail(self, result):
-        return {
-            "synth_s": result.synth_time,
-            "verify_s": result.verify_time,
-            "rounds": result.rounds,
-            "cuts": result.cuts,
-        }
-
 
 class FuzzTask(Task):
     """One oracle-fuzz case: regenerate a spec'd system, run the battery.
@@ -585,9 +501,6 @@ class FuzzTask(Task):
         self.n = n
         self.seed = seed
         self.profile = dict(profile) if profile else None
-
-    def key(self):
-        return {"kind": self.kind, "n": self.n, "seed": self.seed}
 
     def _profile(self):
         if self.profile is None:
@@ -628,11 +541,3 @@ class FuzzTask(Task):
 
     def on_error(self, message):
         return self._aborted(f"task error: {message}")
-
-    def timing_detail(self, result):
-        detail = {"checks": result.checks}
-        if result.disagreements:
-            detail["disagreements"] = len(result.disagreements)
-        if result.harness_errors:
-            detail["harness_errors"] = len(result.harness_errors)
-        return detail

@@ -29,7 +29,6 @@ from .shift import solve_shift
 from .solve import (
     BACKENDS,
     LmiSolution,
-    best_alpha,
     solve_lyapunov_lmi,
 )
 from .svec import basis_matrix, basis_tensor, smat, svec, svec_basis, svec_dim
@@ -39,7 +38,6 @@ __all__ = [
     "LmiInfeasibleError",
     "LmiSolution",
     "solve_lyapunov_lmi",
-    "best_alpha",
     "BACKENDS",
     "solve_ipm",
     "solve_shift",

@@ -24,8 +24,7 @@ the stacked ``(B, d, n, n)`` coefficient tensor, replacing the former
 per-coefficient Python loops. ``initial=`` warm-starts the centering
 from an external iterate — the hybrid pipeline in
 :func:`repro.lyapunov.synthesize_piecewise` hands the ellipsoid
-burn-in's best iterate here for polishing, mirroring the ``initial=``
-warm-start machinery of :func:`repro.sdp.solve_ipm`.
+burn-in's best iterate here for polishing.
 
 Roles of the two generic engines (they solve the same systems):
 

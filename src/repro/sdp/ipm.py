@@ -58,26 +58,11 @@ def solve_ipm(
     problem: LyapunovLmiProblem,
     tol: float = 1e-8,
     max_iterations: int = 60,
-    initial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Damped-Newton analytic centering; raises when no interior exists.
-
-    ``initial`` warm-starts the centering: when it is strictly feasible
-    for *this* problem the Phase I solve is skipped entirely, otherwise
-    it is ignored. ``best_alpha`` threads each accepted solution into
-    the next bisection step this way.
-    """
+    """Damped-Newton analytic centering; raises when no interior exists."""
     n = problem.n
-    warm = (
-        initial is not None
-        and initial.shape == (n, n)
-        and problem.is_strictly_feasible(initial, slack=1e-12)
-    )
-    if warm:
-        p0 = 0.5 * (initial + initial.T)
-    else:
-        # Phase I: a strictly feasible interior point from the direct solver.
-        p0, _ = solve_shift(problem)
+    # Phase I: a strictly feasible interior point from the direct solver.
+    p0, _ = solve_shift(problem)
     radius = max(problem.radius, 10.0 * float(np.linalg.eigvalsh(p0).max()))
 
     eye_n = np.eye(n)
@@ -133,7 +118,6 @@ def solve_ipm(
         "iterations": iterations,
         "newton_decrement": decrement,
         "radius": radius,
-        "warm_start": warm,
     }
     return p, info
 

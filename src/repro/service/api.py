@@ -146,12 +146,6 @@ class CertifyTask(Task):
         self.eq_smt_deadline = eq_smt_deadline
         self.fallback = fallback
 
-    def key(self):
-        return {
-            "n": len(self.a), "method": self.method,
-            "backend": self.backend, "validator": self.validator,
-        }
-
     # ------------------------------------------------------------------
 
     def _matrix(self) -> np.ndarray:
@@ -230,16 +224,6 @@ class CertifyTask(Task):
     def on_error(self, message: str) -> Certificate:
         return self._failed("error")
 
-    def timing_detail(self, result):
-        detail = {}
-        if result.synthesis_time is not None:
-            detail["synth_s"] = result.synthesis_time
-        if result.validation_time is not None:
-            detail["validate_s"] = result.validation_time
-        if result.degraded:
-            detail["degraded"] = result.degraded
-        return detail
-
 
 class CertifyBatchTask(Task):
     """Several certification requests screened in one compiled pass.
@@ -255,9 +239,6 @@ class CertifyBatchTask(Task):
 
     def __init__(self, requests: list[CertifyTask]):
         self.requests = list(requests)
-
-    def key(self):
-        return {"batch": len(self.requests)}
 
     def fingerprint_spec(self):
         specs = [task_fingerprint(request) for request in self.requests]

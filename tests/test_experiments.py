@@ -144,13 +144,16 @@ class TestPiecewiseDriver:
 
 
 class TestCli:
-    def test_main_piecewise_quick(self, capsys):
+    def test_main_piecewise_quick(self, capsys, monkeypatch, tmp_path):
         from repro.experiments.__main__ import main
 
+        # Nothing asked for a file, so the working directory stays empty.
+        monkeypatch.chdir(tmp_path)
         code = main(["piecewise", "--quick"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Piecewise" in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_main_rejects_unknown(self):
         from repro.experiments.__main__ import main

@@ -1,24 +1,21 @@
 """``python -m repro.fuzz`` end-to-end: determinism, resume, planted
-bugs, bench output."""
+bugs, and the files it writes."""
 
 import json
 
 import pytest
 
 from repro.fuzz import main
+from repro.runner import journal_digest
 
 
-def _run(tmp_path, *extra, systems=8, seed=0, journal=None, bench=False):
+def _run(tmp_path, *extra, systems=8, seed=0, journal=None):
     argv = [
         "--systems", str(systems), "--seed", str(seed), "--jobs", "1",
         "--artifacts", str(tmp_path / "artifacts"),
     ]
     if journal is not None:
         argv += ["--journal", str(journal)]
-    if bench:
-        argv += ["--bench", str(tmp_path / "bench.json")]
-    else:
-        argv += ["--no-bench"]
     argv += list(extra)
     return main(argv)
 
@@ -50,7 +47,7 @@ def test_journal_digest_printed_and_stable(tmp_path, capsys):
         assert len(lines) == 1
         return lines[0].split()[-1]
 
-    assert digest(first) == digest(second)
+    assert digest(first) == digest(second) == journal_digest(j1)
 
 
 def test_resume_replays_everything(tmp_path, capsys):
@@ -81,15 +78,11 @@ def test_planted_sign_flip_fails_campaign_with_artifacts(tmp_path, capsys):
     assert len(npz) == len(entries)
 
 
-def test_bench_section_is_written(tmp_path):
-    assert _run(tmp_path, journal=None, bench=True) == 0
-    data = json.loads((tmp_path / "bench.json").read_text())
-    fuzz = data["fuzz"]
-    assert fuzz["systems"] == 8
-    assert fuzz["failing_systems"] == 0
-    assert fuzz["disagreements"] == 0
-    assert fuzz["checks"] > 0
-    assert fuzz["systems_per_s"] > 0
+def test_clean_campaign_writes_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _run(tmp_path) == 0
+    assert "fuzz[quick]: 8 systems" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_replay_flag_runs_one_spec(capsys):

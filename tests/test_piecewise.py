@@ -100,13 +100,11 @@ class TestSynthesizePiecewise:
         )
         assert candidate.feasible
         assert candidate.info["solver"] == solver
-        phases = candidate.info["phases"]
-        assert set(phases) == {"compile_s", "oracle_s", "polish_s"}
-        assert phases["compile_s"] >= 0
-        assert phases["oracle_s"] > 0
+        # Only the hybrid pipeline runs the barrier polish phase.
         if solver == "ellipsoid":
-            assert phases["polish_s"] == 0.0
             assert candidate.info["polish_iterations"] == 0
+        else:
+            assert candidate.info["polish_iterations"] > 0
 
     def test_oracle_batch_off_agrees(self):
         """The per-block differential oracle and the tensorized one

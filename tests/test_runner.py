@@ -1,7 +1,6 @@
 """Tests for the parallel experiment runner (repro.runner)."""
 
 import dataclasses
-import json
 import os
 import time
 
@@ -15,7 +14,6 @@ from repro.experiments import (
     run_table1,
 )
 from repro.runner import (
-    BENCH_SCHEMA,
     CampaignStats,
     RetryPolicy,
     Task,
@@ -23,7 +21,6 @@ from repro.runner import (
     TransientTaskError,
     resolve_jobs,
     run_tasks,
-    write_bench,
 )
 from repro.service import CampaignEngine
 
@@ -37,9 +34,6 @@ QUICK_METHODS = [MethodKey("eq-num"), MethodKey("lmi", "shift")]
 class EchoTask(Task):
     def __init__(self, value):
         self.value = value
-
-    def key(self):
-        return {"case": f"echo{self.value}"}
 
     def run(self):
         return self.value
@@ -213,10 +207,8 @@ class TestCore:
         task = Task()
         with pytest.raises(NotImplementedError):
             task.run()
-        assert task.key() is None
         assert task.on_timeout(1.0) is None
         assert task.on_error("x") is None
-        assert task.timing_detail(None) == {}
 
 
 class TestRetry:
@@ -281,18 +273,12 @@ class TestRetry:
         assert timing.attempts == 1
         assert timing.error["transient"] is False
 
-    def test_attempts_flow_into_bench_artifact(self, tmp_path):
+    def test_attempts_flow_into_timing(self):
         collector = TimingCollector()
         run_tasks(
             [FlakyTask(2), EchoTask(1)], jobs=1, retry=2, collect=collector,
         )
-        data = write_bench(
-            tmp_path / "bench.json", "t", collector, jobs=1, quick=True,
-            total_wall_s=0.1,
-        )
-        entries = data["experiments"]["t"]["tasks"]
-        assert entries[0]["attempts"] == 2
-        assert entries[1]["attempts"] == 1
+        assert [t.attempts for t in collector.timings] == [2, 1]
 
 
 class TestTimingArtifact:
@@ -300,59 +286,13 @@ class TestTimingArtifact:
         collector = TimingCollector()
         run_tasks([EchoTask(1), CrashTask()], jobs=1, collect=collector)
         assert [t.status for t in collector.timings] == ["ok", "error"]
-        assert collector.timings[0].key == {"case": "echo1"}
         assert all(t.wall_s >= 0 for t in collector.timings)
-        assert collector.task_wall_s() == pytest.approx(
-            sum(t.wall_s for t in collector.timings)
-        )
 
     def test_parallel_collects_worker_pids(self):
         collector = TimingCollector()
         run_tasks([EchoTask(i) for i in range(4)], jobs=2, collect=collector)
         assert len(collector.timings) == 4
         assert all(t.worker != "local" for t in collector.timings)
-
-    def test_write_bench_merges_experiments(self, tmp_path):
-        path = tmp_path / "BENCH_experiments.json"
-        first = TimingCollector()
-        run_tasks([EchoTask(1)], jobs=1, collect=first)
-        write_bench(path, "table1", first, jobs=1, quick=True,
-                    total_wall_s=0.5)
-        second = TimingCollector()
-        run_tasks([EchoTask(2)], jobs=1, collect=second)
-        data = write_bench(path, "figure3", second, jobs=2, quick=True,
-                           total_wall_s=0.25)
-        on_disk = json.loads(path.read_text())
-        assert on_disk == data
-        assert on_disk["schema"] == BENCH_SCHEMA
-        assert set(on_disk["experiments"]) == {"table1", "figure3"}
-        entry = on_disk["experiments"]["table1"]["tasks"][0]
-        assert entry["case"] == "echo1"
-        assert entry["status"] == "ok"
-        assert "wall_s" in entry
-
-    def test_write_bench_replaces_corrupt_file(self, tmp_path):
-        path = tmp_path / "BENCH_experiments.json"
-        path.write_text("not json{")
-        collector = TimingCollector()
-        run_tasks([EchoTask(1)], jobs=1, collect=collector)
-        data = write_bench(path, "table1", collector, jobs=1, quick=False,
-                           total_wall_s=0.1)
-        assert data["schema"] == BENCH_SCHEMA
-
-    def test_table1_bench_keyed_by_grid_cell(self):
-        collector = TimingCollector()
-        run_table1(
-            sizes=(3,), integer_sizes=(), methods=QUICK_METHODS,
-            engine=CampaignEngine(jobs=1, timing=collector),
-        )
-        entries = collector.entries()
-        assert len(entries) == 4  # 1 case x 2 modes x 2 methods
-        keys = {(e["case"], e["mode"], e["method"], e["backend"])
-                for e in entries}
-        assert ("size3", 0, "eq-num", None) in keys
-        assert ("size3", 1, "lmi", "shift") in keys
-        assert all("synth_s" in e and "validate_s" in e for e in entries)
 
 
 class TestCampaignCounters:
@@ -375,15 +315,6 @@ class TestCampaignCounters:
             "retry_attempts", "requeued_tasks", "requeue_attempts",
             "degraded", "errors", "timeouts", "journal_errors",
         }
-
-    def test_write_bench_records_campaign(self, tmp_path):
-        stats = CampaignStats(total=5, executed=4, replayed=1)
-        data = write_bench(
-            tmp_path / "bench.json", "t", TimingCollector(), jobs=2,
-            quick=True, total_wall_s=1.0, stats=stats,
-        )
-        entry = data["experiments"]["t"]
-        assert entry["campaign"] == stats.counters()
 
 
 class TestParallelEquivalence:

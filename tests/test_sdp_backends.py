@@ -7,7 +7,6 @@ from repro.sdp import (
     BACKENDS,
     LmiInfeasibleError,
     LyapunovLmiProblem,
-    best_alpha,
     solve_lyapunov_lmi,
 )
 
@@ -111,19 +110,3 @@ class TestBackends:
         floor_shift, _ = problem.constraint_margins(shift_sol.p)
         floor_ipm, _ = problem.constraint_margins(ipm_sol.p)
         assert floor_ipm > floor_shift  # deeper in the cone
-
-
-class TestBestAlpha:
-    def test_matches_spectral_abscissa(self):
-        a = np.diag([-1.0, -3.0])
-        # Decay limited by the slowest mode: alpha* = 2.
-        assert best_alpha(a, tolerance=1e-4) == pytest.approx(2.0, abs=1e-3)
-
-    def test_rejects_unstable(self):
-        with pytest.raises(LmiInfeasibleError):
-            best_alpha(np.eye(2))
-
-    def test_random_system(self):
-        a = stable_matrix(5, seed=12)
-        expected = -2.0 * float(np.linalg.eigvals(a).real.max())
-        assert best_alpha(a, tolerance=1e-4) == pytest.approx(expected, abs=1e-2)

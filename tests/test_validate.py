@@ -258,21 +258,45 @@ class TestGracefulDegradation:
         with pytest.raises(RuntimeError, match="sylvester imploded"):
             validate_candidate(candidate, a, fallback=False)
 
-    def test_degradation_reaches_record_and_timing(self, monkeypatch):
-        """End-to-end: a degraded validation shows up on the Table I
-        record and in the timing artifact's detail."""
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_degradation_reaches_record_and_stats(
+        self, monkeypatch, tmp_path, jobs
+    ):
+        """End-to-end: a degraded validation shows up on each Table I
+        record and in the campaign's ``degraded`` counter, whether the
+        task ran in-process or in a pool worker (two tasks, so that
+        ``jobs=2`` really pools). A resumed run replays both records and
+        counts no degradation of its own."""
         self._break_sylvester(monkeypatch)
-        from repro.runner import Table1Task, TimingCollector, run_tasks
+        from repro.runner import CampaignStats, Journal, Table1Task, run_tasks
 
-        collector = TimingCollector()
-        task = Table1Task(
-            case_name="size3", size=3, mode=0, method="eq-num", backend=None,
-            eq_smt_deadline=5.0, validator="sylvester", sigfigs=10,
-            keep_candidate=False,
-        )
-        (record, _), = run_tasks([task], jobs=1, collect=collector)
-        assert record.valid is True
-        assert record.degraded, "degradation must be recorded on the row"
-        assert all(d["used"] == "sympy" for d in record.degraded)
-        detail = collector.entries()[0]
-        assert detail["degraded"] == record.degraded
+        tasks = [
+            Table1Task(
+                case_name="size3", size=3, mode=mode, method="eq-num",
+                backend=None, eq_smt_deadline=5.0, validator="sylvester",
+                sigfigs=10,
+            )
+            for mode in (0, 1)
+        ]
+        path = tmp_path / "journal.jsonl"
+        stats = CampaignStats()
+        with Journal(path) as journal:
+            results = run_tasks(
+                tasks, jobs=jobs, journal=journal, stats=stats
+            )
+        for record, _candidate in results:
+            assert record.valid is True
+            assert record.degraded, "degradation must be recorded on the row"
+            assert all(d["used"] == "sympy" for d in record.degraded)
+        assert (stats.executed, stats.degraded) == (2, 2)
+
+        resumed = CampaignStats()
+        with Journal(path, resume=True) as journal:
+            replayed = run_tasks(
+                tasks, jobs=jobs, journal=journal, stats=resumed
+            )
+        assert (resumed.replayed, resumed.executed) == (2, 0)
+        assert resumed.degraded == 0
+        assert [r.degraded for r, _ in replayed] == [
+            r.degraded for r, _ in results
+        ]
