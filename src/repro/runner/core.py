@@ -44,6 +44,20 @@ serial run:
   so per-process caches (the balanced-truncation ladder) are built at
   most once per worker — and, under the preferred ``fork`` start
   method, inherited from the parent for free.
+* **One BLAS thread per worker** — the pool is the parallelism. Each
+  worker sets every OpenBLAS library mapped into it to one thread
+  before its first task: ``jobs`` workers each running a multi-threaded
+  BLAS would oversubscribe the CPUs the pool was sized to, and a
+  faster BLAS kernel would then buy nothing end to end.
+  ``OPENBLAS_NUM_THREADS`` cannot do this: OpenBLAS reads it once,
+  when the parent first imports numpy, and a forked worker inherits
+  that setting. The parent's BLAS threading is never touched.
+* **Refill before the journal write** — when replies arrive, the pool
+  first settles them (worker freed, wall time added, retries queued),
+  then hands every idle worker its next task, and only then encodes
+  and fsyncs the settled outcomes; the workers compute while the
+  parent writes. The death path never dispatches: a reply drained
+  from a worker that is being buried is finished on the spot.
 
 One pool (:class:`_Pool`) owns spawn, dispatch, reply collection,
 liveness and the death path. One attempt function (:func:`_attempt`)
@@ -53,6 +67,7 @@ path and the pool alike.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import multiprocessing
 import os
@@ -514,6 +529,46 @@ class _Run:
 # The worker pool
 # ----------------------------------------------------------------------
 
+#: The thread-count setter an OpenBLAS build exports: scipy's wheels
+#: prefix every symbol and suffix the 64-bit-integer build's with
+#: ``64_``. Each takes one C ``int``.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _pin_blas_threads() -> None:
+    """Set every OpenBLAS library in this process to one thread.
+
+    Called by pool workers only (see the module docstring). The
+    libraries are found in ``/proc/self/maps`` (numpy and scipy each
+    ship their own copy); without that file (off Linux) this does
+    nothing. A library loaded after this call keeps its default.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
 def _worker_main(conn, supervisor_end, policy: RetryPolicy):
     """Worker process: receive ``(index, task, attempt)``, run that one
     attempt, reply ``(index, status, result, wall_s, error)``; ``None``
@@ -521,6 +576,7 @@ def _worker_main(conn, supervisor_end, policy: RetryPolicy):
     # The fork copied the supervisor's end of this pipe; while this copy
     # stays open a dead supervisor never shows as EOF here.
     supervisor_end.close()
+    _pin_blas_threads()
     try:
         while True:
             try:
@@ -585,7 +641,8 @@ class _Pool:
     collect, liveness, death.
 
     One shared queue, one task in flight per worker, results journaled
-    by the parent. A dead worker's task is requeued (its attempt is
+    by the parent once the idle workers hold their next tasks (see
+    :meth:`_collect`). A dead worker's task is requeued (its attempt is
     spent) while the retry policy allows, else finished in-process as
     ``"fallback"``; a deadline kill is requeued the same way, else
     recorded as ``"timeout"``; dead workers are replaced while work
@@ -677,6 +734,8 @@ class _Pool:
             worker.started = time.monotonic()
 
     def _collect(self) -> None:
+        """Settle the ready replies, refill the idle workers, then
+        finish (journal) the settled outcomes."""
         busy = [w.conn for w in self.workers if w.index is not None]
         if busy:
             ready = _wait_ready(busy, timeout=_POLL_INTERVAL)
@@ -688,15 +747,25 @@ class _Pool:
                 pause = min(pause, max(0.0, soonest))
             time.sleep(pause)
         now = time.monotonic()
+        settled = []
         for worker in list(self.workers):
-            if worker.conn in ready and not self._drain(worker):
-                # EOF on the pipe: the worker died, whatever is_alive()
-                # still says.
-                self._bury(worker, "pipe closed", now)
-                continue
+            if worker.conn in ready:
+                try:
+                    outcome = self._drain(worker)
+                except (EOFError, OSError):
+                    # EOF on the pipe: the worker died, whatever
+                    # is_alive() still says.
+                    self._bury(worker, "pipe closed", now)
+                    continue
+                if outcome is not None:
+                    settled.append(outcome)
             reason = self._dead_reason(worker, now)
             if reason is not None:
                 self._bury(worker, reason, now)
+        for worker in list(self.workers):
+            self._fill(worker)
+        for outcome in settled:
+            self.run.finish(*outcome)
 
     def _dead_reason(self, worker, now: float) -> str | None:
         if not worker.process.is_alive():
@@ -709,29 +778,38 @@ class _Pool:
             return "deadline"
         return None
 
-    def _drain(self, worker) -> bool:
-        """Take the reply waiting on ``worker``'s pipe; ``False`` at EOF."""
-        try:
-            if worker.index is not None and worker.conn.poll():
-                self._reply(worker, *worker.conn.recv())
-        except (EOFError, OSError):
-            return False
-        return True
+    def _drain(self, worker) -> tuple | None:
+        """Take and settle the reply waiting on ``worker``'s pipe.
 
-    def _reply(self, worker, index, status, result, wall, error) -> None:
+        Frees the worker, adds the attempt's wall time and queues a
+        retry; returns the :meth:`_Run.finish` arguments of a final
+        outcome, else ``None``. Raises ``EOFError``/``OSError`` at EOF.
+        """
+        if worker.index is None or not worker.conn.poll():
+            return None
+        index, status, result, wall, error = worker.conn.recv()
         worker.index = None
         run = self.run
         run.walls[index] += wall
         if status == "retry":
             run.retries[index] += 1
             self._later(index)
-            return
-        run.finish(index, status, result, str(worker.process.pid), error)
+            return None
+        return index, status, result, str(worker.process.pid), error
 
     def _bury(self, worker, reason: str, now: float) -> None:
-        """The one death path: stop the worker, settle the task it held."""
+        """The one death path: stop the worker, settle the task it held.
+
+        Dispatches nothing: a reply that beat the death is finished
+        here, before the worker is stopped.
+        """
         self.workers.remove(worker)
-        self._drain(worker)  # a reply that beat the death
+        try:
+            outcome = self._drain(worker)
+        except (EOFError, OSError):
+            outcome = None
+        if outcome is not None:
+            self.run.finish(*outcome)
         worker.stop(graceful=False)
         index = worker.index
         if index is not None:

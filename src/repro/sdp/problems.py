@@ -54,7 +54,8 @@ def _lyap_basis_tensor(a_bytes: bytes, n: int, alpha: float) -> np.ndarray:
 
     The ``(m, n, n)`` result is the compiled-tensor form of the Lyapunov
     operator: the interior-point KKT assembly contracts against it with
-    einsums instead of building ``n^2 x n^2`` Kronecker products.
+    one batched matmul and one BLAS product instead of building
+    ``n^2 x n^2`` Kronecker products.
     Memoized on ``(A, alpha)`` — bisections over ``alpha`` and
     revalidation sweeps hit the same key repeatedly.
 

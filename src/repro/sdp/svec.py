@@ -85,9 +85,10 @@ def basis_tensor(n: int) -> np.ndarray:
     """The basis of :func:`svec_basis` stacked as one ``(m, n, n)`` array.
 
     This is the shape the tensorized solvers contract against: a
-    congruence ``tr(E_k X E_l X)`` Hessian becomes two einsums over this
-    tensor instead of ``m`` Python-level matrix products (or an
-    ``n^2 x n^2`` Kronecker product). Memoized per ``n``, read-only.
+    congruence ``tr(E_k X E_l X)`` Hessian becomes one batched matmul
+    and one BLAS product over this tensor instead of ``m`` Python-level
+    matrix products (or an ``n^2 x n^2`` Kronecker product). Memoized
+    per ``n``, read-only.
     """
     out = np.stack(svec_basis(n))
     out.setflags(write=False)

@@ -1,9 +1,11 @@
 """Tests for the parallel experiment runner (repro.runner)."""
 
+import ctypes
 import dataclasses
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -22,6 +24,7 @@ from repro.runner import (
     resolve_jobs,
     run_tasks,
 )
+from repro.runner.core import _Pool, _Run
 from repro.service import CampaignEngine
 
 QUICK_METHODS = [MethodKey("eq-num"), MethodKey("lmi", "shift")]
@@ -129,6 +132,74 @@ class PermanentCrashTask(Task):
         return ("failed", message)
 
 
+#: The thread-count getters an OpenBLAS build may export (the setters'
+#: counterparts in repro.runner.core).
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def blas_thread_counts():
+    """``{path: threads}`` for every OpenBLAS mapped into this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps}
+    except OSError:
+        return {}
+    counts = {}
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path):
+            continue
+        library = ctypes.CDLL(path)
+        for name in _OPENBLAS_GETTERS:
+            getter = getattr(library, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                counts[path] = getter()
+                break
+    return counts
+
+
+class BlasThreadsTask(Task):
+    def run(self):
+        return blas_thread_counts()
+
+
+class RecordingJournal:
+    """Journal stand-in: for each line written, the task every pool
+    worker held at that moment."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.lines = []
+
+    def fingerprint(self, task):
+        return str(task.value)
+
+    def record(self, fingerprint, kind, status, result, attempts, error):
+        held = [worker.index for worker in self.workers]
+        self.lines.append((fingerprint, status, attempts, held))
+
+
+class SendRecorder:
+    """Wraps a worker's pipe end and records what is sent through it."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+        self.conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
 def _normalize(record):
     """Zero the stochastic wall-clock fields, keeping their None-ness."""
     return dataclasses.replace(
@@ -209,6 +280,67 @@ class TestCore:
             task.run()
         assert task.on_timeout(1.0) is None
         assert task.on_error("x") is None
+
+
+class TestPoolDispatch:
+    """One worker, driven step by step through the pool's own methods."""
+
+    @pytest.fixture
+    def pool(self):
+        pools = []
+
+        def make(tasks, journal=None, deadline=None):
+            collector = TimingCollector()
+            run = _Run(tasks, collector, None, RetryPolicy(), CampaignStats())
+            pool = _Pool(run, deadline, 1)
+            pool._spawn()
+            if journal is not None:
+                run.journal = journal(pool.workers)
+            pool.pending.extend(range(len(tasks)))
+            pools.append(pool)
+            return pool, collector
+
+        yield make
+        for pool in pools:
+            for worker in pool.workers:
+                worker.stop()
+
+    def test_next_task_dispatched_before_journal_write(self, pool):
+        pool, _ = pool([EchoTask(0), EchoTask(1)], journal=RecordingJournal)
+        worker, = pool.workers
+        pool._fill(worker)
+        assert worker.conn.poll(30)
+        pool._collect()
+        # Task 0's line was written while the worker already held task 1.
+        assert pool.run.journal.lines == [("0", "ok", 1, [1])]
+        assert worker.conn.poll(30)
+        pool._collect()
+        assert pool.run.journal.lines[1] == ("1", "ok", 1, [None])
+        assert pool.run.results == [0, 1]
+
+    def test_bury_finishes_waiting_reply_and_dispatches_nothing(self, pool):
+        pool, collector = pool([EchoTask(0), EchoTask(1)], deadline=1.0)
+        worker, = pool.workers
+        pool._fill(worker)
+        assert worker.conn.poll(30)
+        worker.conn = recorder = SendRecorder(worker.conn)
+        pool._bury(worker, "deadline", time.monotonic())
+        assert recorder.sent == []
+        assert not worker.process.is_alive()
+        assert [t.status for t in collector.timings] == ["ok"]
+        assert pool.run.stats.executed == 1
+        assert pool.run.results == [0, None]
+        # The pending task was not charged an attempt.
+        assert list(pool.pending) == [1]
+        assert pool.run.attempts == [1, 0]
+
+    def test_pool_workers_run_one_blas_thread(self):
+        parent = blas_thread_counts()
+        if not parent:
+            pytest.skip("no OpenBLAS library loaded")
+        results = run_tasks([BlasThreadsTask() for _ in range(4)], jobs=2)
+        assert results == [{path: 1 for path in parent}] * 4
+        assert blas_thread_counts() == parent
 
 
 class TestRetry:
@@ -354,6 +486,37 @@ class TestParallelEquivalence:
         assert render_sweep(
             [_normalize(r) for r in sweep_serial]
         ) == render_sweep([_normalize(r) for r in sweep_parallel])
+
+
+class TestIpmLadderJobs:
+    """Pooled workers run one BLAS thread, the parent its default; the
+    interior-point rows on the ladder must not depend on it."""
+
+    def test_verdicts_equal_and_candidates_agree(self):
+        methods = [MethodKey("lmi", "ipm"), MethodKey("lmi-alpha", "ipm")]
+        runs = {}
+        for jobs in (1, 2):
+            engine = CampaignEngine(jobs=jobs)
+            records, candidates = run_table1(
+                sizes=(10, 15, 18), integer_sizes=(), methods=methods,
+                keep_candidates=True, engine=engine,
+            )
+            sweep = rounding_sweep(
+                candidates, sigfig_levels=(10, 6, 4), base_records=records,
+                engine=engine,
+            )
+            verdicts = [
+                (r.case, r.mode, r.method, r.sigfigs, r.synth_status, r.valid)
+                for r in sweep
+            ]
+            runs[jobs] = (candidates, verdicts)
+        (serial, serial_verdicts), (pooled, pooled_verdicts) = runs[1], runs[2]
+        assert len(serial_verdicts) == 36
+        assert serial_verdicts == pooled_verdicts
+        assert list(serial) == list(pooled)
+        for key, candidate in serial.items():
+            error = np.abs(candidate.p - pooled[key].p).max()
+            assert error <= 1e-6 * np.abs(candidate.p).max(), key
 
 
 class TestRoundingSweepReuse:

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.lyapunov import DEFAULT_NU, default_alpha, synthesize
 from repro.sdp import (
     BACKENDS,
     LmiInfeasibleError,
     LyapunovLmiProblem,
+    lyap_basis_tensor,
     solve_lyapunov_lmi,
 )
+from repro.sdp.ipm import _barrier_terms
+from repro.sdp.svec import basis_tensor, svec_dim
 
 ALL_BACKENDS = sorted(BACKENDS)
 
@@ -110,3 +114,55 @@ class TestBackends:
         floor_shift, _ = problem.constraint_margins(shift_sol.p)
         floor_ipm, _ = problem.constraint_margins(ipm_sol.p)
         assert floor_ipm > floor_shift  # deeper in the cone
+
+
+def einsum_barrier_terms(stack, inverse):
+    """The contraction ``_barrier_terms`` replaces with one GEMM: the
+    gradient ``tr(C_k X)`` and Hessian ``tr(C_k X C_l X)`` as einsums."""
+    transformed = stack @ inverse
+    return (
+        np.einsum("kaa->k", transformed),
+        np.einsum("kab,lba->kl", transformed, transformed),
+    )
+
+
+class TestIpm:
+    @pytest.mark.parametrize("n", range(1, 22))
+    def test_barrier_terms_match_einsum_oracle(self, n):
+        rng = np.random.default_rng(n)
+        raw = rng.normal(size=(svec_dim(n), n, n))
+        a = stable_matrix(n, seed=n)
+        stacks = {
+            "random symmetric": raw + raw.transpose(0, 2, 1),
+            "svec basis": basis_tensor(n),
+            "L(E_k)": lyap_basis_tensor(a, default_alpha(a)),
+        }
+        x = rng.normal(size=(n, n))
+        inverse = np.linalg.inv(x @ x.T + n * np.eye(n))
+        for name, stack in stacks.items():
+            gradient, hessian = _barrier_terms(stack, inverse)
+            want_gradient, want_hessian = einsum_barrier_terms(stack, inverse)
+            assert np.array_equal(gradient, want_gradient), name
+            error = np.abs(hessian - want_hessian).max()
+            assert error <= 1e-12 * np.abs(want_hessian).max(), name
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=np.linalg.LinAlgError,
+        reason=(
+            "ROADMAP item 2: Phase I (solve_shift) returns P on the "
+            "eigenvalue floor, so P - nu_eff I = 0 and the first barrier "
+            "inverse is singular. The fix (scale p0 by "
+            "max(1, 2 nu_eff / lambda_min(p0))) turns 13 of the 80 "
+            "fuzz-small records from 'infeasible' to 'ok', so it must "
+            "re-pin bench/golden/fuzz-small.json."
+        ),
+    )
+    def test_alpha_plus_on_scalar_system(self):
+        # fuzz-small's stable/1/180421576: LinAlgError subclasses
+        # ValueError, so the fuzzer and the runner tasks file this crash
+        # as "infeasible".
+        a = np.array([[-8.2]])
+        candidate = synthesize("lmi-alpha+", a, backend="ipm")
+        problem = LyapunovLmiProblem(a, alpha=default_alpha(a), nu=DEFAULT_NU)
+        assert problem.is_strictly_feasible(candidate.p)
