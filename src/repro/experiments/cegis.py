@@ -6,9 +6,9 @@ fails, and the ellipsoid method proves *why* (the nominal references
 are bistable). This driver runs the counterexample-guided loop of
 :mod:`repro.lyapunov.cegis` over both reference regimes:
 
-* ``nominal`` — the paper's references; the certifying synthesizer
-  proves the LMI infeasible at iteration 0 with zero cuts (the pinned
-  negative result, now a one-row regression);
+* ``nominal`` — the paper's references; the exact mode-1 equilibrium
+  proves that no certificate exists at iteration 0, with zero cuts and
+  no synthesis (the pinned negative result, now a one-row regression);
 * ``attracting`` — references with the guard margin pushed negative
   (:data:`repro.engine.ATTRACTING_MARGIN`), where the loop converges
   to certificates whose every condition is checked exactly (Sylvester
@@ -26,10 +26,9 @@ from .records import CegisRecord, render_grid
 __all__ = ["run_cegis", "render_cegis", "DEFAULT_GRID"]
 
 #: (regime, synthesis) cells of the default experiment grid. The
-#: sampled loop only runs at the attracting regime — at the nominal one
-#: the sampled relaxation is feasible but no certificate exists, so the
-#: loop would spin its full budget refuting snapshots of an empty set;
-#: the full-matrix row already proves that emptiness in round 1.
+#: sampled loop only runs at the attracting regime: at the nominal one
+#: the equilibrium witness decides before any synthesis, so a sampled
+#: row would repeat the full-matrix row's round-1 proof.
 DEFAULT_GRID = (
     ("nominal", "full"),
     ("attracting", "full"),

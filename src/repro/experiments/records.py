@@ -131,7 +131,12 @@ class CegisRecord:
     #: rounding protocol: "structured" (exact continuity) or
     #: "independent" (the paper's — pinned to fail).
     snap: str
-    status: str  # "validated" | "infeasible" | "stalled" | "exhausted"
+    #: "validated" | "infeasible" | "inconclusive" | "stalled" |
+    #: "exhausted" (see :class:`repro.lyapunov.CegisOutcome`):
+    #: "infeasible" is only ever the exact bistability witness, and an
+    #: ellipsoid emptiness claim that survives a cold re-solve is
+    #: "inconclusive".
+    status: str
     rounds: int
     cuts: int
     validated: bool

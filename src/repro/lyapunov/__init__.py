@@ -10,6 +10,7 @@ from .cegis import (
     CertificateVerification,
     PiecewiseCertificate,
     assemble_centered_lmi,
+    bistability_witness,
     cegis_piecewise,
     definiteness_conditions,
     refute_certificate,
@@ -53,6 +54,7 @@ __all__ = [
     "verify_certificate",
     "CegisWitness",
     "refute_certificate",
+    "bistability_witness",
     "CegisRound",
     "CegisOutcome",
     "cegis_piecewise",

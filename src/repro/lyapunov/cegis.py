@@ -7,8 +7,8 @@ independent reasons:
 
 1. at the case-study references both modes keep their equilibrium
    strictly inside their own operating region (bistability), so no
-   global certificate exists — the deep-cut ellipsoid method *proves*
-   the LMI infeasible;
+   global certificate exists — one exact solve for the mode-1
+   equilibrium *proves* it (:func:`bistability_witness`);
 2. even where a certificate exists, rounding the two mode matrices
    independently breaks the exact surface equality ``V_0 = V_1`` that
    the both-directions surface non-increase condition forces, so the
@@ -47,7 +47,9 @@ left open (Ravanbakhsh & Sankaranarayanan; Ahmed, Peruffo & Abate):
 Outcome on the reproduction ladder: validated certificates on the
 reduced 3- and 5-state models (and the 10-state model) at *attracting*
 references, with the paper's nominal-reference failure reproduced at
-iteration 0.
+iteration 0 by the exact witness, before any synthesis. ``infeasible``
+is only ever that exact proof; a float emptiness claim of the ellipsoid
+that survives a cold re-solve ends the loop ``inconclusive``.
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ __all__ = [
     "verify_certificate",
     "CegisWitness",
     "refute_certificate",
+    "bistability_witness",
     "CegisRound",
     "CegisOutcome",
     "cegis_piecewise",
@@ -664,6 +667,42 @@ def _augmented_term(p_bar: RationalMatrix, variables):
 
 
 # ----------------------------------------------------------------------
+# Exact infeasibility (bistability witness)
+# ----------------------------------------------------------------------
+def bistability_witness(lmi: CenteredLmi) -> list | None:
+    """The augmented mode-1 equilibrium ``w̄_1`` if it refutes every
+    candidate, else ``None``.
+
+    ``w_1`` solves ``A_1 w + b_1 = 0`` over the same rationals the
+    verifier uses (:func:`_augmented_flow_exact`), so ``Ā_1 w̄_1 = 0``
+    and the Lie term of every ``P̄_1`` vanishes at ``w̄_1``. When ``w_1``
+    lies in region 1, ``s = -ḡ . w̄_1 >= 0``, and every multiplier
+    triple ``W >= 0`` gives
+
+        w̄_1^T N_dec w̄_1 = -(W_0 s^2 + 2 W_1 s + W_2) - eps |w_1 - w_0|^2
+                        <= 0,
+
+    so the ``dec1`` check of :func:`verify_certificate` fails for every
+    certificate whose ``multipliers`` check passes: an exact proof that
+    no certificate exists. ``None`` when ``A_1`` is singular or ``w_1``
+    lies strictly in region 0 (``s < 0``; ``-1.5`` to within 1e-15 at
+    every attracting reference).
+    """
+    d = lmi.d
+    a1_bar = _augmented_flow_exact(lmi.system.modes[1].flow, d)
+    try:
+        w1 = solve_vector(
+            a1_bar.submatrix(range(d), range(d)),
+            [-a1_bar[i, d] for i in range(d)],
+        )
+    except ValueError:  # singular A_1: no unique equilibrium
+        return None
+    w1_bar = w1 + [Fraction(1)]
+    s = -sum(g * w for g, w in zip(lmi.g_exact, w1_bar))
+    return w1_bar if s >= 0 else None
+
+
+# ----------------------------------------------------------------------
 # The loop
 # ----------------------------------------------------------------------
 @dataclass
@@ -680,6 +719,10 @@ class CegisRound:
     new_cuts: list = field(default_factory=list)
     cut_total: int = 0
     verify_time: float = 0.0
+    #: which exact proof set ``proved_infeasible``: ``"equilibrium"``
+    #: (:func:`bistability_witness`) or ``None``. Not in the provenance,
+    #: which records decisions, not the mechanism behind them.
+    proof: str | None = None
 
 
 @dataclass
@@ -687,11 +730,14 @@ class CegisOutcome:
     """Result of a CEGIS campaign on one switched system.
 
     ``status`` is one of ``"validated"`` (sound certificate found),
-    ``"infeasible"`` (the certifying ellipsoid proved the LMI empty —
-    the paper's nominal-reference negative result), ``"stalled"``
-    (refuted but no new cut available, e.g. the independent-rounding
-    protocol whose surface defect no cut can repair) or
-    ``"exhausted"`` (round budget spent).
+    ``"infeasible"`` (exactly proved: :func:`bistability_witness` fired
+    — the paper's nominal-reference negative result), ``"inconclusive"``
+    (the ellipsoid claimed the synthesizer's LMI empty, from the origin
+    too, with no exact proof: a float claim about a ball of radius
+    ``initial_radius``, not a verdict), ``"stalled"`` (refuted but no
+    new cut available, e.g. the independent-rounding protocol whose
+    surface defect no cut can repair) or ``"exhausted"`` (round budget
+    spent).
     """
 
     status: str
@@ -774,8 +820,14 @@ def cegis_piecewise(
 ) -> CegisOutcome:
     """Run the counterexample-guided loop on one 2-mode switched system.
 
-    Per round: (1) synthesize over the current block set — the full
-    matrix system (``synthesis="full"``) or the finite sampled
+    Before the first round, :func:`bistability_witness` checks exactly
+    whether the mode-1 equilibrium refutes every candidate. If it does,
+    the loop ends in round 1 with status ``"infeasible"``, zero new cuts
+    and no synthesis — on the paper's nominal references this is the
+    Section VI-B.2 negative result the regression suite pins.
+
+    Otherwise, per round: (1) synthesize over the current block set —
+    the full matrix system (``synthesis="full"``) or the finite sampled
     relaxation (``"sampled"``) — with the deep-cut ellipsoid method
     warm-started from the previous round's iterate, polished by the
     level-shift barrier; (2) snap the iterate to an exact rational
@@ -784,10 +836,10 @@ def cegis_piecewise(
     min-eigenvectors of refuted mode-1 blocks) into a sampled 1x1 cut,
     deduplicated by normalized-direction fingerprint, and resynthesize.
 
-    An ellipsoid infeasibility proof short-circuits the loop with
-    status ``"infeasible"`` — on the paper's nominal references this
-    happens in round 1 with zero cuts, which is exactly the Section
-    VI-B.2 negative result the regression suite pins.
+    The ellipsoid's emptiness claim covers only the ball of radius
+    ``initial_radius`` around its start, so a warm-started round that
+    claims it is solved once more from the origin; if that claims it
+    too, the loop ends ``"inconclusive"``, never ``"infeasible"``.
     """
     start = time.perf_counter()
     if lmi is None:
@@ -813,9 +865,25 @@ def cegis_piecewise(
     certificate: PiecewiseCertificate | None = None
     previous_x: np.ndarray | None = None
     status = "exhausted"
-    for index in range(1, max_rounds + 1):
-        synth_start = time.perf_counter()
-        result = solve_lmi_ellipsoid(
+    witness_start = time.perf_counter()
+    if bistability_witness(lmi) is not None:
+        status = "infeasible"
+        rounds.append(
+            CegisRound(
+                index=1,
+                synth_iterations=0,
+                synth_time=time.perf_counter() - witness_start,
+                worst_violation=float("nan"),
+                polished=False,
+                proved_infeasible=True,
+                cut_total=len(cuts),
+                proof="equilibrium",
+            )
+        )
+        max_rounds = 0  # no candidate can pass dec1: synthesize nothing
+
+    def solve_from(center: np.ndarray | None):
+        return solve_lmi_ellipsoid(
             compiled.blocks,
             dimension=lmi.dim,
             initial_radius=initial_radius,
@@ -823,8 +891,18 @@ def cegis_piecewise(
             raise_on_infeasible=False,
             compiled=compiled,
             sweep_every=16,
-            initial_center=previous_x if warm_start else None,
+            initial_center=center,
         )
+
+    for index in range(1, max_rounds + 1):
+        synth_start = time.perf_counter()
+        center = previous_x if warm_start else None
+        result = solve_from(center)
+        iterations = result.iterations
+        if result.proved_infeasible and center is not None:
+            # The claim covers only the ball around the warm start.
+            result = solve_from(None)
+            iterations += result.iterations
         x = result.x
         polished = False
         if not result.proved_infeasible and polish_outer > 0:
@@ -843,16 +921,16 @@ def cegis_piecewise(
         synth_time = time.perf_counter() - synth_start
         record = CegisRound(
             index=index,
-            synth_iterations=result.iterations,
+            synth_iterations=iterations,
             synth_time=synth_time,
             worst_violation=float(result.worst_violation),
             polished=polished,
-            proved_infeasible=result.proved_infeasible,
+            proved_infeasible=False,
             cut_total=len(cuts),
         )
         rounds.append(record)
         if result.proved_infeasible:
-            status = "infeasible"
+            status = "inconclusive"
             break
         previous_x = x
         certificate = snap_certificate(lmi, x, sigfigs=sigfigs, snap=snap)

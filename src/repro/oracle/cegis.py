@@ -21,9 +21,10 @@ is known *by construction*, the same backwards philosophy as
     strictly interior to its own region. The mode-1 decrease condition
     ``-dV/dt >= eps |w - w_0|^2`` is violated *at* the mode-1
     equilibrium (where ``dV/dt = 0`` but ``w != w_0``), so no
-    certificate exists and the certifying ellipsoid must prove the LMI
-    **infeasible** — the synthetic miniature of the paper's negative
-    result.
+    certificate exists, and the loop must report it **infeasible** from
+    that exact equilibrium (:func:`repro.lyapunov.bistability_witness`)
+    before any synthesis — the synthetic miniature of the paper's
+    negative result.
 
 Scenarios are pure functions of ``(kind, n, seed)``; failures shrink
 and replay through the standard fuzz artifact machinery.
@@ -226,8 +227,9 @@ def check_cegis_scenario(
 
     1. **verdict** — the loop's status equals the constructed one
        (``cegis-shared`` runs the *sampled* synthesis so the cut
-       machinery is genuinely engaged; ``cegis-bistable`` runs the
-       full-matrix synthesis whose ellipsoid carries the proof);
+       machinery is genuinely engaged, and must never end
+       ``inconclusive``; ``cegis-bistable`` runs the full-matrix
+       synthesis, which the exact equilibrium witness ends in round 1);
     2. **cut admissibility** (shared) — every sampled cut accumulated
        during the campaign is satisfied at the known-feasible ``x*``,
        within the parent block's own margin: cuts may prune the search,

@@ -3,7 +3,12 @@
 Hypothesis: exact rational arithmetic has high variance per example
 (coefficient growth depends on the drawn values), so the default
 200ms deadline is disabled; example counts are kept moderate in the
-individual ``@settings`` decorations instead.
+individual ``@settings`` decorations instead. The default ``repro``
+profile is derandomized, so every run draws the same examples and a
+tier-1 failure reproduces; ``HYPOTHESIS_PROFILE=explore`` draws fresh
+random examples, five times as many, for the nightly job. A
+derandomized example that fails is a bug to fix or pin as an
+``@example``, never one to skip.
 
 Determinism: the seed audit (the oracle-fuzzer PR) found every
 randomness source in the suite already flows through explicit
@@ -14,6 +19,7 @@ any library routine — that reaches for a global generator stays
 reproducible per-test instead of depending on execution order.
 """
 
+import os
 import random
 
 import numpy as np
@@ -23,6 +29,7 @@ from hypothesis import HealthCheck, settings
 settings.register_profile(
     "repro",
     deadline=None,
+    derandomize=True,
     suppress_health_check=[
         HealthCheck.too_slow,
         # The autouse seeding fixture below is function-scoped by design
@@ -30,7 +37,16 @@ settings.register_profile(
         HealthCheck.function_scoped_fixture,
     ],
 )
-settings.load_profile("repro")
+settings.register_profile(
+    "explore", settings.get_profile("repro"), derandomize=False
+)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "repro")
+settings.load_profile(PROFILE)
+
+#: How many times its own ``max_examples`` a property test draws under
+#: the ``explore`` profile (every test here sets the count explicitly,
+#: which a profile's ``max_examples`` cannot override).
+EXPLORE_SCALE = 5
 
 #: One shared seed for the global-stream pin and the ``rng`` fixture.
 TEST_SEED = 20230
@@ -48,3 +64,23 @@ def _pin_global_rngs():
 def rng():
     """A per-test seeded Generator — the preferred randomness source."""
     return np.random.default_rng(TEST_SEED)
+
+
+def pytest_collection_modifyitems(items):
+    """Under ``explore``, give every property test ``EXPLORE_SCALE``
+    times its examples (once per function: parametrized items share
+    one). Hypothesis reads a test's settings from this attribute on
+    each call and has no public way to scale explicit counts."""
+    if PROFILE != "explore":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)  # a method's function
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is None or id(test) in scaled:
+            continue
+        scaled.add(id(test))
+        test._hypothesis_internal_use_settings = settings(
+            own, max_examples=EXPLORE_SCALE * own.max_examples
+        )

@@ -3,12 +3,15 @@
 Pins, in order of importance:
 
 1. **The paper's negative result, at iteration 0.** At the nominal
-   references the certifying synthesizer proves the piecewise LMI
-   infeasible in round 1 with zero cuts — Section VI-B.2's failure is
-   not a rounding accident but genuine infeasibility, and the loop
-   reports it before any refinement happens. Likewise the paper's
-   *rounding protocol* (independent per-mode snap) is pinned to fail
-   its surface check and stall: no cut can repair broken continuity.
+   references the exact mode-1 equilibrium refutes every candidate's
+   decrease block, so the loop ends ``infeasible`` in round 1 with zero
+   cuts and no synthesis — Section VI-B.2's failure is not a rounding
+   accident but genuine infeasibility. The witness is tied to the
+   verifier's own ``N_dec``, it stays silent wherever a certificate
+   exists, and a float emptiness claim never reads ``infeasible``.
+   Likewise the paper's *rounding protocol* (independent per-mode
+   snap) is pinned to fail its surface check and stall: no cut can
+   repair broken continuity.
 2. **The flip.** At attracting references the loop produces certificates
    that survive the exact S-procedure verification — and the property
    suite revalidates every accepted matrix independently (Sylvester on
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.lyapunov.cegis as cegis_module
@@ -40,6 +43,7 @@ from repro.engine import attracting_reference, case_by_name, nominal_reference
 from repro.exact import RationalMatrix, sylvester_positive_definite
 from repro.lyapunov import (
     assemble_centered_lmi,
+    bistability_witness,
     cegis_piecewise,
     definiteness_conditions,
     refute_certificate,
@@ -103,6 +107,24 @@ def _icp_verdict(matrix, delta, max_boxes):
     ).verdict
 
 
+def _system(name, regime):
+    case = case_by_name(name)
+    reference = (
+        nominal_reference if regime == "nominal" else attracting_reference
+    )
+    return case.switched_system(reference(case.plant))
+
+
+def _quadratic(matrix, vector):
+    """Exact ``vᵀ M v``."""
+    n = len(vector)
+    return sum(
+        vector[i] * matrix[i, j] * vector[j]
+        for i in range(n)
+        for j in range(n)
+    )
+
+
 def _assert_revalidates(lmi, certificate):
     """Every accepted matrix is positive definite again, through two
     paths that share no code with the integer-kernel acceptance."""
@@ -125,6 +147,7 @@ class TestPaperNegativeResult:
         assert outcome.status == "infeasible"
         assert len(outcome.rounds) == 1
         assert outcome.rounds[0].proved_infeasible
+        assert outcome.rounds[0].proof == "equilibrium"
         assert outcome.cut_count == 0
         assert outcome.certificate is None
 
@@ -146,6 +169,99 @@ class TestPaperNegativeResult:
             for i in range(defect.rows)
             for j in range(defect.cols)
         )
+
+
+class TestBistabilityWitness:
+    @pytest.mark.parametrize("name", ["size3", "size5", "size3i"])
+    def test_nominal_witness_refutes_the_verifiers_dec1(self, name):
+        """At the paper's references ``w̄_1ᵀ N_dec w̄_1 <= 0`` exactly,
+        with ``N_dec`` from the verifier's own matrices, for
+        certificates snapped from several decision vectors (the snap
+        clamps the multipliers to >= 0)."""
+        self._assert_refutes(assemble_centered_lmi(_system(name, "nominal")))
+
+    @settings(max_examples=6)
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    def test_bistable_witness_refutes_the_verifiers_dec1(self, seed, n):
+        scenario = generate_cegis_scenario("cegis-bistable", n, seed)
+        self._assert_refutes(assemble_centered_lmi(scenario.system))
+
+    @staticmethod
+    def _assert_refutes(lmi):
+        w1_bar = bistability_witness(lmi)
+        assert w1_bar is not None and w1_bar[-1] == 1
+        rng = np.random.default_rng(lmi.dim)
+        for scale in (1e-3, 1.0, 1e3):
+            x = scale * rng.normal(size=lmi.dim)
+            x[lmi.off_u1:] = np.abs(x[lmi.off_u1:])
+            certificate = snap_certificate(lmi, x)
+            assert all(v >= 0 for v in certificate.w1)
+            dec1 = definiteness_conditions(lmi, certificate)["dec1"]
+            assert _quadratic(dec1, w1_bar) <= 0
+            assert not verify_certificate(lmi, certificate).valid
+
+    @pytest.mark.parametrize("name", ["size3", "size5", "size10"])
+    def test_witness_silent_at_attracting_references(self, name):
+        assert bistability_witness(
+            assemble_centered_lmi(_system(name, "attracting"))
+        ) is None
+
+    @settings(max_examples=10)
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    def test_witness_silent_on_shared_scenarios(self, seed, n):
+        scenario = generate_cegis_scenario("cegis-shared", n, seed)
+        assert bistability_witness(
+            assemble_centered_lmi(scenario.system)
+        ) is None
+
+    @pytest.mark.parametrize("synthesis", ["full", "sampled"])
+    @pytest.mark.parametrize("name", ["size3", "size5"])
+    def test_nominal_loop_never_runs_the_ellipsoid(self, name, synthesis):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness must decide before synthesis")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cegis_module, "solve_lmi_ellipsoid", refuse)
+            outcome = cegis_piecewise(
+                _system(name, "nominal"), synthesis=synthesis
+            )
+        assert outcome.status == "infeasible"
+        assert len(outcome.rounds) == 1
+        assert outcome.rounds[0].proved_infeasible
+        assert outcome.rounds[0].new_cuts == []
+
+    def test_float_emptiness_claim_is_inconclusive(self):
+        """A ball too small to hold any certificate makes the ellipsoid
+        claim emptiness; with no exact witness that is no verdict."""
+        scenario = generate_cegis_scenario("cegis-shared", 2, 5)
+        outcome = cegis_piecewise(
+            scenario.system, synthesis="sampled", initial_radius=1e-3
+        )
+        assert outcome.status == "inconclusive"
+        assert not any(r.proved_infeasible for r in outcome.rounds)
+
+    def test_warm_start_emptiness_claim_is_resolved_cold(self):
+        """Round 2 of this scenario claims emptiness around round 1's
+        iterate; the same round is solved again from the origin, and
+        the loop goes on to validate."""
+        scenario = generate_cegis_scenario("cegis-shared", 3, 15)
+        calls = []
+        solve = cegis_module.solve_lmi_ellipsoid
+
+        def recording(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            calls.append(
+                (kwargs["initial_center"] is None, result.proved_infeasible)
+            )
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cegis_module, "solve_lmi_ellipsoid", recording)
+            outcome = cegis_piecewise(scenario.system, synthesis="sampled")
+        assert outcome.status == "validated"
+        claim = calls.index((False, True))
+        assert calls[claim + 1] == (True, False)
+        assert len(calls) == len(outcome.rounds) + 1
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +322,15 @@ class TestValidatedCertificates:
 
     @settings(max_examples=6)
     @given(st.integers(0, 10_000), st.integers(1, 3))
+    # A warm-started round of each of these claimed emptiness, which the
+    # loop used to report as ``infeasible``.
+    @example(121, 2)
+    @example(257, 2)
+    @example(409, 2)
+    @example(15, 3)
+    @example(359, 3)
+    @example(773, 3)
+    @example(837, 3)
     def test_shared_scenarios_validate_and_revalidate(self, seed, n):
         """Ground-truth shared-witness scenarios: the sampled loop must
         validate, and every accepted matrix must survive independent
@@ -250,6 +375,7 @@ class TestValidatedCertificates:
         scenario = generate_cegis_scenario("cegis-bistable", n, seed)
         outcome = cegis_piecewise(scenario.system, synthesis="full")
         assert outcome.status == "infeasible", (seed, n)
+        assert outcome.rounds[0].proof == "equilibrium"
         assert outcome.certificate is None
 
 
