@@ -17,18 +17,30 @@ The headline pin is the warm-over-cold speedup of the full replay
 hard-fails below 2.5x. A second pin covers fingerprint memoization (a
 10⁴-task campaign fingerprints every task at least twice: journal
 lookup + record).
+
+The replay passes the same pre-built :class:`CertifyTask` objects
+again and again, so after a task's first fingerprint its hits cost one
+memo read and one store lookup: the warm pass's few microseconds per
+request measure the memo, not what a client pays. A client sends a
+fresh matrix each time, and its hit builds a new task and fingerprints
+it. The third pin times exactly that, as the ``certify-stream``
+benchmark workload does: the median hit on a 21-state closed loop may
+cost at most 2x the median hit on a 6-state one (3x under
+``REPRO_PERF_SOFT``). Content-addressing the float64 bytes keeps the
+ratio near 1.2; writing every entry out as JSON text made it 3.3.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.engine import MODES, benchmark_suite
+from repro.engine import MODES, benchmark_suite, case_by_name
 from repro.runner import task_fingerprint
 from repro.service import CertificationService, CertifyTask
 
@@ -42,6 +54,12 @@ N_FINGERPRINT_TASKS = 10_000
 #: salted SHA-256 over the tagged-JSON spec is orders of magnitude
 #: slower. Pin a conservative floor.
 FINGERPRINT_PIN_SPEEDUP = 5.0
+
+N_HITS = 2_000
+#: Largest 21-state over 6-state median hit latency (about 1.2 measured).
+HIT_RATIO_PIN = 2.0
+#: REPRO_PERF_SOFT ceiling.
+SOFT_CEILING_HIT_RATIO = 3.0
 
 
 def _trace() -> list[CertifyTask]:
@@ -158,3 +176,41 @@ def test_replay_certificates_match_direct_path():
     assert [c.identity() for c in served] == [
         c.identity() for c in direct
     ]
+
+
+def test_hit_latency_does_not_grow_with_the_matrix():
+    """A repeat request sent as a fresh copy costs about the same at 21
+    states as at 6: its fingerprint hashes the matrix bytes instead of
+    encoding every entry. Hits on the two sizes alternate, so host drift
+    moves both medians alike."""
+    soft = bool(os.environ.get("REPRO_PERF_SOFT"))
+    small = np.asarray(case_by_name("size3").mode_matrix(0), float)
+    large = np.asarray(case_by_name("size18").mode_matrix(0), float)
+    assert (small.shape[0], large.shape[0]) == (6, 21)
+    samples = {6: [], 21: []}
+    with CertificationService(sigfigs=8) as service:
+        for a in (small, large):  # the two misses
+            service.certify(a.copy(), method="lmi", backend="ipm")
+        for _ in range(N_HITS):
+            for a in (small, large):
+                fresh = a.copy()
+                started = time.perf_counter()
+                service.certify(fresh, method="lmi", backend="ipm")
+                samples[len(a)].append(time.perf_counter() - started)
+        counters = service.counters()
+    assert counters["computations"] == 2
+
+    small_s, large_s = (statistics.median(samples[n]) for n in (6, 21))
+    ratio = large_s / small_s
+    ceiling = SOFT_CEILING_HIT_RATIO if soft else HIT_RATIO_PIN
+    if soft and ratio > HIT_RATIO_PIN:
+        warnings.warn(
+            f"hit latency: 21-state {ratio:.2f}x the 6-state one, above "
+            f"the {HIT_RATIO_PIN:g}x pin (soft mode, ceiling "
+            f"{SOFT_CEILING_HIT_RATIO:g}x)",
+            stacklevel=1,
+        )
+    assert ratio <= ceiling, (
+        f"a 21-state hit takes {large_s * 1e6:.0f} us, {ratio:.2f}x the "
+        f"6-state {small_s * 1e6:.0f} us (ceiling {ceiling:g}x)"
+    )

@@ -763,10 +763,20 @@ class CegisOutcome:
         """Deterministic structural provenance (digest input).
 
         Wall times, violation floats and solver iteration counts are
-        excluded on purpose: the digest must be stable across reruns
-        and across BLAS builds, so it covers only the decision
+        excluded on purpose, so the digest covers only the decision
         structure — statuses, per-round verdicts, and the normalized
-        cut fingerprints.
+        cut fingerprints — and is stable across reruns.
+
+        Whether it is stable across BLAS builds depends on the cuts.
+        A ``full`` loop that ends in round 1, as every pinned ``full``
+        row does (validated, or proved infeasible by the witness),
+        records exact verdicts and no cut, so its digest is
+        BLAS-independent. A ``sampled`` digest is not: its cut
+        directions are eigenvectors, whose last digits follow the BLAS
+        build and thread count. size10 attracting/sampled records 86
+        cuts (``e32d0d2fda53``) in-process and 88 (``c56c76b2d06d``) in
+        a one-BLAS-thread pool worker, which is why EXPERIMENTS.md
+        ("CEGIS") regenerates the recorded rows with ``--jobs 1``.
         """
         return {
             "status": self.status,

@@ -68,7 +68,15 @@ def solve_ipm(
     tol: float = 1e-8,
     max_iterations: int = 60,
 ) -> tuple[np.ndarray, dict]:
-    """Damped-Newton analytic centering; raises when no interior exists."""
+    """Damped-Newton analytic centering; raises when no interior exists.
+
+    ``info["stop"]`` says why the iteration ended: ``"converged"`` (the
+    Newton decrement fell below ``tol``), ``"stalled"`` (the line
+    search accepted no step, or the Newton direction was no descent
+    direction, which reads as a zero decrement) or
+    ``"max-iterations"``. A stalled or cut-off ``P`` is still strictly
+    feasible, but it is not the analytic center.
+    """
     n = problem.n
     # Phase I: a strictly feasible interior point from the direct solver.
     p0, _ = solve_shift(problem)
@@ -88,6 +96,7 @@ def solve_ipm(
     p = p0
     iterations = 0
     decrement = np.inf
+    stop = "max-iterations"
     for iterations in range(1, max_iterations + 1):
         t1, t2, s = blocks(p)
         g1, h1 = _barrier_terms(basis, np.linalg.inv(t1))
@@ -100,8 +109,13 @@ def solve_ipm(
             step = np.linalg.solve(hessian, -gradient)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hessian, -gradient, rcond=None)[0]
-        decrement = float(np.sqrt(max(0.0, -(gradient @ step))))
+        curvature = -(gradient @ step)
+        decrement = float(np.sqrt(max(0.0, curvature)))
         if decrement < tol:
+            # A negative curvature also reads as a zero decrement, but
+            # there the barrier Hessian is numerically indefinite and
+            # the Newton direction is no descent direction.
+            stop = "stalled" if curvature < 0 else "converged"
             break
         # Damped line search: stay strictly feasible, ensure descent.
         direction = smat(step, n)
@@ -118,7 +132,8 @@ def solve_ipm(
                     break
             t *= 0.5
         if not accepted:
-            break  # no further progress possible at float precision
+            stop = "stalled"  # no further progress at float precision
+            break
     p = 0.5 * (p + p.T)
     if not problem.is_strictly_feasible(p, slack=1e-12):
         raise LmiInfeasibleError("interior-point iteration left feasibility")
@@ -126,6 +141,7 @@ def solve_ipm(
         "backend": "ipm",
         "iterations": iterations,
         "newton_decrement": decrement,
+        "stop": stop,
         "radius": radius,
     }
     return p, info

@@ -2,12 +2,15 @@
 
 Certificates are keyed by the runner's salted task fingerprints
 (:func:`repro.runner.task_fingerprint`): the key is a SHA-256 over the
-exact request data — matrix entries as tagged-JSON values, method,
-backend, validator, rounding level — plus :data:`repro.runner.JOURNAL_SALT`.
-That makes the store *content-addressed*: two requests hit the same
-entry iff their specs are identical, and a salt bump (result semantics
-changed) silently invalidates every old entry because all fingerprints
-move.
+exact request data — the SHA-256 of the matrix's little-endian float64
+bytes with its dtype and shape, method, backend, validator, rounding
+level — plus :data:`repro.runner.JOURNAL_SALT`. That makes the store
+*content-addressed*: two requests hit the same entry iff their specs
+are identical, with float64 entries compared bit for bit (so ``-0.0``
+and ``0.0`` differ), and a salt bump (result semantics changed)
+silently invalidates every old entry because all fingerprints move.
+Entries written when the matrix was keyed by its entries as
+tagged-JSON values still load, but no request matches them any more.
 
 Two tiers:
 

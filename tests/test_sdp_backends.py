@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import case_by_name
 from repro.lyapunov import DEFAULT_NU, default_alpha, synthesize
 from repro.sdp import (
     BACKENDS,
@@ -11,7 +12,7 @@ from repro.sdp import (
     lyap_basis_tensor,
     solve_lyapunov_lmi,
 )
-from repro.sdp.ipm import _barrier_terms
+from repro.sdp.ipm import _barrier_terms, solve_ipm
 from repro.sdp.svec import basis_tensor, svec_dim
 
 ALL_BACKENDS = sorted(BACKENDS)
@@ -145,6 +146,35 @@ class TestIpm:
             assert np.array_equal(gradient, want_gradient), name
             error = np.abs(hessian - want_hessian).max()
             assert error <= 1e-12 * np.abs(want_hessian).max(), name
+
+    @pytest.mark.parametrize(
+        ("case", "mode", "method", "stop", "iterations", "decrement"),
+        [
+            # The decrement reaches ~1e-10, below tol = 1e-8.
+            ("size3", 0, "lmi", "converged", 29, (1e-12, 1e-8)),
+            # Phase I leaves P on the eigenvalue floor (ROADMAP item 2):
+            # the first line search accepts no step.
+            ("size3", 1, "lmi-alpha+", "stalled", 1, (0.5, 2.0)),
+            # The decrement bottoms out near 7e-7 and never reaches tol.
+            ("size10", 0, "lmi", "stalled", 30, (1e-8, 1e-5)),
+            # On the floor again: the Newton direction stops being a
+            # descent direction, which reads as a zero decrement.
+            ("size3", 0, "lmi-alpha+", "stalled", 19, (0.0, 0.0)),
+        ],
+    )
+    def test_reports_why_it_stopped(
+        self, case, mode, method, stop, iterations, decrement
+    ):
+        a = case_by_name(case).mode_matrix(mode)
+        info = synthesize(method, a, backend="ipm").info
+        assert (info["stop"], info["iterations"]) == (stop, iterations)
+        low, high = decrement
+        assert low <= info["newton_decrement"] <= high
+
+    def test_reports_max_iterations(self):
+        problem = LyapunovLmiProblem(case_by_name("size3").mode_matrix(0))
+        _p, info = solve_ipm(problem, max_iterations=5)
+        assert (info["stop"], info["iterations"]) == ("max-iterations", 5)
 
     @pytest.mark.xfail(
         strict=True,

@@ -10,6 +10,9 @@ bit for bit.
 """
 
 import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -17,8 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lyapunov import LyapunovCandidate
+from repro.oracle import QUICK_PROFILE
 from repro.runner import (
+    FuzzTask,
     Journal,
+    RevalidateTask,
+    Table1Task,
     Task,
     resolve_jobs,
     run_tasks,
@@ -32,6 +40,8 @@ from repro.service import (
     CertificateStore,
     certify,
 )
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: A small Hurwitz matrix certifiable in well under a millisecond via
 #: the shift backend; the standard fast request for these tests.
@@ -319,3 +329,131 @@ class TestFingerprintMemo:
         expected = task_fingerprint(warmed)  # memo now set on `warmed`
         assert task_fingerprint(plain) == expected
         assert task_fingerprint(warmed) == expected
+
+
+# ----------------------------------------------------------------------
+# Content address: the float64 bytes of the matrix
+# ----------------------------------------------------------------------
+
+class TestContentAddress:
+    #: Hurwitz (Gershgorin discs in the left half-plane), with a zero
+    #: entry for the signed-zero check.
+    MATRIX = np.array([
+        [-1.0, 0.25, 0.0],
+        [0.1, -2.0, 1.0],
+        [0.0, -0.5, -3.0],
+    ])
+
+    @staticmethod
+    def fingerprint(a) -> str:
+        return task_fingerprint(CertifyTask(a, method="lmi", backend="shift"))
+
+    def test_same_values_same_address(self):
+        a = self.MATRIX
+        wide = np.zeros((3, 6))
+        wide[:, ::2] = a
+        forms = {
+            "nested lists": a.tolist(),
+            "C order": np.ascontiguousarray(a),
+            "F order": np.asfortranarray(a),
+            "strided view": wide[:, ::2],
+            "big-endian": a.astype(">f8"),
+        }
+        assert not forms["strided view"].flags.c_contiguous
+        expected = self.fingerprint(a)
+        for name, form in forms.items():
+            assert self.fingerprint(form) == expected, name
+
+    def test_int_array_matches_its_float_values(self):
+        ints = np.array([[-3, 1], [0, -2]])
+        assert self.fingerprint(ints) == self.fingerprint(
+            [[-3.0, 1.0], [0.0, -2.0]]
+        )
+
+    def test_one_ulp_in_any_entry_moves_the_address(self):
+        addresses = {self.fingerprint(self.MATRIX)}
+        for index in np.ndindex(self.MATRIX.shape):
+            for toward in (-np.inf, np.inf):
+                a = self.MATRIX.copy()
+                a[index] = np.nextafter(a[index], toward)
+                addresses.add(self.fingerprint(a))
+        assert len(addresses) == 1 + 2 * self.MATRIX.size
+
+    def test_signed_zero_is_kept_apart(self):
+        a = self.MATRIX.copy()
+        a[0, 2] = -0.0
+        assert a[0, 2] == 0.0
+        assert self.fingerprint(a) != self.fingerprint(self.MATRIX)
+
+    def test_stable_across_processes(self):
+        local = self.fingerprint(self.MATRIX)
+        code = (
+            "import numpy as np\n"
+            "from repro.runner import task_fingerprint\n"
+            "from repro.service import CertifyTask\n"
+            f"a = np.array({self.MATRIX.tolist()!r})\n"
+            "print(task_fingerprint("
+            "CertifyTask(a, method='lmi', backend='shift')))"
+        )
+        for seed in ("0", "random"):
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, check=True, cwd=REPO_ROOT,
+                env={"PYTHONHASHSEED": seed, "PYTHONPATH": "src"},
+            )
+            assert out.stdout.strip() == local
+
+    def test_repeat_request_from_a_copy_hits_the_cache(self):
+        recipe = {"method": "lmi", "backend": "shift"}
+        with CertificationService(sigfigs=6) as svc:
+            cold = svc.certify(self.MATRIX.copy(), **recipe)
+            warm = svc.certify(self.MATRIX.copy(), **recipe)
+        assert cold.synth_status == "ok" and cold.valid is True
+        assert warm.identity() == cold.identity()
+        assert svc.computations == 1
+        assert svc.store.memory_hits == 1
+
+    def test_caller_mutation_does_not_move_the_task(self):
+        a = self.MATRIX.copy()
+        with CertificationService() as svc:
+            task = svc.request(a, method="lmi", backend="shift")
+        a[0, 0] = 7.0  # before the first fingerprint, so no memo hides it
+        assert task_fingerprint(task) == self.fingerprint(self.MATRIX)
+        assert not np.shares_memory(task.a, a)
+        assert not task.a.flags.writeable
+
+    def test_pinned_addresses(self):
+        """The encoding the other tasks share is pinned: a change to it
+        would silently move every journal fingerprint and the
+        fuzz-small golden digest, so it must fail here first. The
+        FuzzTask, Table1Task and RevalidateTask values are the ones the
+        JSON-list encoding of ``CertifyTask`` had too."""
+        fuzz = FuzzTask(
+            kind="stable", n=3, seed=1, profile=QUICK_PROFILE.spec()
+        )
+        table1 = Table1Task(
+            case_name="size3", size=3, mode=0, method="lmi",
+            backend="ipm", eq_smt_deadline=None, validator="sylvester",
+            sigfigs=10,
+        )
+        revalidate = RevalidateTask(
+            case_name="size3", size=3, mode=0, method="lmi",
+            backend="shift",
+            candidate=LyapunovCandidate(
+                p=np.array([[2.0, 0.5], [0.5, 1.0]]), method="lmi",
+                backend="shift",
+            ),
+            sigfigs=6, validator="sylvester",
+        )
+        assert task_fingerprint(fuzz) == (
+            "774856e390c985516a7218c5b064abd7b555e4d2736f3af09c073ebbd2a4b448"
+        )
+        assert task_fingerprint(table1) == (
+            "3e79c608ed0ef9487e155f3bb4142251a1b6327d856b88bba3713bca021c7cd3"
+        )
+        assert task_fingerprint(revalidate) == (
+            "3c91716960837f3e73f9b425c269c41da7bdba0e9cfb9f1c7346831f00244021"
+        )
+        assert self.fingerprint(self.MATRIX) == (
+            "4f090daa7755ec0013f2708666087d1cadcdf73fc6e0f050c82aac66ae9cb177"
+        )
