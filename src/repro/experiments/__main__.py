@@ -10,11 +10,7 @@ rendered output is independent of N. ``--record DIR`` saves each
 experiment's rendered output as ``<experiment>_full.txt`` (or
 ``_quick``), the files EXPERIMENTS.md references, and ``--json PATH``
 dumps the raw records; apart from these and ``--journal``, the CLI
-writes no file. The piecewise experiment additionally takes
-``--solver hybrid|ellipsoid|barrier`` (default ``hybrid``: the
-tensorized ellipsoid burn-in + warm-started barrier polish) and
-``--oracle-batch on|off`` (``off`` restores the per-block differential
-separation oracle). The ``cegis`` experiment runs the
+writes no file. The ``cegis`` experiment runs the
 counterexample-guided refinement loop over both reference regimes
 (``--cegis-rounds`` caps the per-campaign round budget).
 
@@ -113,7 +109,6 @@ def _piecewise(args, campaign) -> str:
     iterations = 6_000 if args.quick else 20_000
     records = run_piecewise(
         case_names=names, max_iterations=iterations,
-        solver=args.solver, oracle_batch=args.oracle_batch == "on",
         engine=_engine(args, campaign),
     )
     if args.json:
@@ -179,18 +174,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--eq-smt-deadline", type=float, default=60.0,
         help="wall-clock budget (s) for the exact eq-smt method",
-    )
-    parser.add_argument(
-        "--solver", choices=("hybrid", "ellipsoid", "barrier"),
-        default="hybrid",
-        help="piecewise synthesis pipeline: tensorized ellipsoid burn-in "
-        "+ warm-started barrier polish (hybrid), certifying ellipsoid "
-        "alone, or barrier alone (piecewise experiment only)",
-    )
-    parser.add_argument(
-        "--oracle-batch", choices=("on", "off"), default="on",
-        help="tensorized batched LMI separation oracle; 'off' runs the "
-        "per-block differential oracle (piecewise experiment only)",
     )
     parser.add_argument(
         "--cegis-rounds", type=int, default=40, metavar="N",

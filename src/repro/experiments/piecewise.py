@@ -3,11 +3,15 @@ system, with both surface encodings, followed by exact validation.
 
 Expected reproduction shape (and what the paper reports): the LMI
 machinery always produces a *candidate*, but exact validation of the
-switching-surface non-increase condition fails every time. Our run adds
-one diagnosis the paper could not make: the deep-cut ellipsoid method
-*proves* the LMI systems infeasible for the case-study references —
-both operating modes have locally stable equilibria inside their own
-regions, so no global piecewise-quadratic certificate can exist.
+switching-surface non-increase condition fails every time. The table's
+``LMI verdict`` adds the synthesizer's own view: ``empty (float)`` when
+the deep-cut ellipsoid burn-in claims the search ball empty. That claim
+is computed in floats and is no proof. The proof that no global
+piecewise-quadratic certificate exists is exact and lives in the
+``cegis`` experiment: at the nominal references both operating modes
+keep a locally stable equilibrium inside their own region, and the
+``nominal`` rows read ``infeasible`` from that equilibrium witness
+(:func:`repro.lyapunov.bistability_witness`).
 """
 
 from __future__ import annotations
@@ -24,20 +28,12 @@ def run_piecewise(
     encodings: tuple[str, ...] = ENCODINGS,
     max_iterations: int = 20_000,
     max_boxes: int = 6_000,
-    conditions_scope: str = "surface",
-    solver: str = "hybrid",
-    oracle_batch: bool = True,
     engine=None,
 ) -> list[PiecewiseRecord]:
     """Run the synthesis+validation grid.
 
-    ``solver`` picks the synthesis pipeline per task (``"hybrid"`` =
-    tensorized ellipsoid burn-in + warm-started barrier polish,
-    ``"ellipsoid"`` = certifying deep-cut method alone, ``"barrier"`` =
-    level-shift candidate finder); ``oracle_batch=False`` falls back to
-    the per-block differential separation oracle. ``engine`` (a
-    :class:`repro.service.CampaignEngine`; ``None`` runs in-process)
-    carries the runner context.
+    ``engine`` (a :class:`repro.service.CampaignEngine`; ``None`` runs
+    in-process) carries the runner context.
     """
     from ..runner import PiecewiseTask
     from ..service.engine import CampaignEngine
@@ -46,8 +42,6 @@ def run_piecewise(
         PiecewiseTask(
             case_name=name, size=case_by_name(name).size, encoding=encoding,
             max_iterations=max_iterations, max_boxes=max_boxes,
-            conditions_scope=conditions_scope,
-            solver=solver, oracle_batch=oracle_batch,
         )
         for name in case_names
         for encoding in encodings
@@ -57,7 +51,7 @@ def run_piecewise(
 
 def render_piecewise(records: list[PiecewiseRecord]) -> str:
     headers = [
-        "case", "encoding", "solver", "candidate", "LMI verdict",
+        "case", "encoding", "candidate", "LMI verdict",
         "synth (s)", "validation", "failed conditions",
     ]
     rows = []
@@ -65,14 +59,13 @@ def render_piecewise(records: list[PiecewiseRecord]) -> str:
         if r.lmi_feasible:
             verdict = "tolerance-feasible"
         elif r.proved_infeasible:
-            verdict = "proved infeasible"
+            verdict = "empty (float)"
         else:
             verdict = "budget exhausted"
         rows.append(
             [
                 r.case,
                 r.encoding,
-                r.solver,
                 "best iterate",
                 verdict,
                 f"{r.synth_time:.3g}",

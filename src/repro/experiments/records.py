@@ -107,15 +107,13 @@ class PiecewiseRecord:
     size: int
     encoding: str
     lmi_feasible: bool
+    #: the ellipsoid burn-in's float emptiness claim, not an exact proof
     proved_infeasible: bool
     iterations: int
     synth_time: float
     validation_valid: bool | None
     failed_conditions: list = field(default_factory=list)
     validation_time: float = 0.0
-    #: Synthesis engine ("hybrid" | "ellipsoid" | "barrier"); defaulted
-    #: so pre-existing journals decode into the extended record.
-    solver: str = "hybrid"
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .equation import (
     solve_lyapunov_numeric,
 )
 from .modal import modal_lyapunov
-from .piecewise import ENCODINGS, SOLVERS, PiecewiseCandidate, synthesize_piecewise
+from .piecewise import ENCODINGS, PiecewiseCandidate, synthesize_piecewise
 from .quadratic import LyapunovCandidate
 from .synthesis import DEFAULT_NU, LMI_METHODS, METHODS, default_alpha, synthesize
 
@@ -42,7 +42,6 @@ __all__ = [
     "PiecewiseCandidate",
     "synthesize_piecewise",
     "ENCODINGS",
-    "SOLVERS",
     "CenteredLmi",
     "assemble_centered_lmi",
     "seed_directions",

@@ -42,7 +42,9 @@ left open (Ravanbakhsh & Sankaranarayanan; Ahmed, Peruffo & Abate):
   refuted mode-1 block becomes a new cut, deduplicated by
   normalized-direction fingerprint.
   ``synthesis="full"`` keeps the matrix blocks in the synthesizer (the
-  one-shot path used by the benchmarks).
+  one-shot path used by the benchmarks). Either way each round solves
+  its LMI with :func:`repro.sdp.solve_lmi_hybrid`, the pipeline the
+  piecewise experiment uses too.
 
 Outcome on the reproduction ladder: validated certificates on the
 reduced 3- and 5-state models (and the 10-state model) at *attracting*
@@ -68,13 +70,7 @@ from ..exact import (
     sylvester_positive_definite,
     to_fraction,
 )
-from ..sdp import (
-    CompiledLmiSystem,
-    LmiBlock,
-    solve_lmi_barrier,
-    solve_lmi_ellipsoid,
-    svec_basis,
-)
+from ..sdp import CompiledLmiSystem, LmiBlock, solve_lmi_hybrid, svec_basis
 from ..sdp.generic import cut_fingerprint, sampled_cut
 from ..smt import (
     Atom,
@@ -712,6 +708,8 @@ class CegisRound:
     index: int
     synth_iterations: int
     synth_time: float
+    #: the joint violation of the adopted (possibly polished) iterate.
+    #: Nothing reads it, and it is not in the provenance.
     worst_violation: float
     polished: bool
     proved_infeasible: bool
@@ -822,10 +820,6 @@ def cegis_piecewise(
     cap: float = 100.0,
     initial_radius: float = 200.0,
     max_iterations: int = 30_000,
-    polish_outer: int = 60,
-    target_margin: float = 0.5,
-    warm_start: bool = True,
-    fingerprint_digits: int = 6,
     lmi: CenteredLmi | None = None,
 ) -> CegisOutcome:
     """Run the counterexample-guided loop on one 2-mode switched system.
@@ -838,18 +832,20 @@ def cegis_piecewise(
 
     Otherwise, per round: (1) synthesize over the current block set —
     the full matrix system (``synthesis="full"``) or the finite sampled
-    relaxation (``"sampled"``) — with the deep-cut ellipsoid method
-    warm-started from the previous round's iterate, polished by the
-    level-shift barrier; (2) snap the iterate to an exact rational
-    certificate; (3) verify it exactly (:func:`verify_certificate`);
-    (4) on refutation, convert every counterexample direction (the
-    min-eigenvectors of refuted mode-1 blocks) into a sampled 1x1 cut,
-    deduplicated by normalized-direction fingerprint, and resynthesize.
+    relaxation (``"sampled"``) — with :func:`repro.sdp.solve_lmi_hybrid`
+    (ellipsoid burn-in around the previous round's iterate, barrier
+    polish toward a joint margin of 0.5); (2) snap the iterate to an
+    exact rational certificate; (3) verify it exactly
+    (:func:`verify_certificate`); (4) on refutation, convert every
+    counterexample direction (the min-eigenvectors of refuted mode-1
+    blocks) into a sampled 1x1 cut, deduplicated by normalized-direction
+    fingerprint, and resynthesize.
 
     The ellipsoid's emptiness claim covers only the ball of radius
-    ``initial_radius`` around its start, so a warm-started round that
-    claims it is solved once more from the origin; if that claims it
-    too, the loop ends ``"inconclusive"``, never ``"infeasible"``.
+    ``initial_radius`` around its start, so the shared pipeline solves a
+    warm-started round that claims it once more from the origin; if
+    that claims it too, the loop ends ``"inconclusive"``, never
+    ``"infeasible"``.
     """
     start = time.perf_counter()
     if lmi is None:
@@ -861,9 +857,7 @@ def cegis_piecewise(
     if synthesis == "sampled":
         for direction in seed_directions(lmi):
             for block in (lmi.pos1, lmi.dec1):
-                fingerprint = cut_fingerprint(
-                    block.name, direction, digits=fingerprint_digits
-                )
+                fingerprint = cut_fingerprint(block.name, direction)
                 if fingerprint in seen:
                     continue
                 seen.add(fingerprint)
@@ -892,49 +886,18 @@ def cegis_piecewise(
         )
         max_rounds = 0  # no candidate can pass dec1: synthesize nothing
 
-    def solve_from(center: np.ndarray | None):
-        return solve_lmi_ellipsoid(
-            compiled.blocks,
-            dimension=lmi.dim,
-            initial_radius=initial_radius,
-            max_iterations=max_iterations,
-            raise_on_infeasible=False,
-            compiled=compiled,
-            sweep_every=16,
-            initial_center=center,
-        )
-
     for index in range(1, max_rounds + 1):
         synth_start = time.perf_counter()
-        center = previous_x if warm_start else None
-        result = solve_from(center)
-        iterations = result.iterations
-        if result.proved_infeasible and center is not None:
-            # The claim covers only the ball around the warm start.
-            result = solve_from(None)
-            iterations += result.iterations
-        x = result.x
-        polished = False
-        if not result.proved_infeasible and polish_outer > 0:
-            polish = solve_lmi_barrier(
-                None,
-                dimension=lmi.dim,
-                radius=initial_radius,
-                target_margin=target_margin,
-                max_outer=polish_outer,
-                initial=x,
-                compiled=compiled,
-            )
-            if -polish.t_star <= result.worst_violation:
-                x = polish.x
-                polished = True
-        synth_time = time.perf_counter() - synth_start
+        result = solve_lmi_hybrid(
+            compiled, initial_radius, max_iterations,
+            target_margin=0.5, center=previous_x,
+        )
         record = CegisRound(
             index=index,
-            synth_iterations=iterations,
-            synth_time=synth_time,
+            synth_iterations=result.iterations,
+            synth_time=time.perf_counter() - synth_start,
             worst_violation=float(result.worst_violation),
-            polished=polished,
+            polished=result.polished,
             proved_infeasible=False,
             cut_total=len(cuts),
         )
@@ -942,8 +905,10 @@ def cegis_piecewise(
         if result.proved_infeasible:
             status = "inconclusive"
             break
-        previous_x = x
-        certificate = snap_certificate(lmi, x, sigfigs=sigfigs, snap=snap)
+        previous_x = result.x
+        certificate = snap_certificate(
+            lmi, result.x, sigfigs=sigfigs, snap=snap
+        )
         verification = verify_certificate(lmi, certificate)
         record.checks = verification.verdict_map()
         record.verify_time = verification.time
@@ -960,9 +925,7 @@ def cegis_piecewise(
         new_cuts: list[LmiBlock] = []
         for name, direction in directions:
             block = lmi.pos1 if name == "pos1" else lmi.dec1
-            fingerprint = cut_fingerprint(
-                block.name, direction, digits=fingerprint_digits
-            )
+            fingerprint = cut_fingerprint(block.name, direction)
             if fingerprint in seen:
                 continue
             seen.add(fingerprint)

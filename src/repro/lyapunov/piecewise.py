@@ -14,17 +14,19 @@ cf. Oehlerking Thm. 3.10) with two switching-surface encodings:
   non-increase constraints across the surface in both directions.
 
 The LMI system is compiled once into stacked coefficient tensors
-(:class:`repro.sdp.CompiledLmiSystem`) and solved by a configurable
-pipeline: the certifying deep-cut ellipsoid method
-(``solver="ellipsoid"``), the level-shift barrier
-(``solver="barrier"``), or the default two-stage *hybrid* — an
-ellipsoid burn-in (which keeps the power to *prove* infeasibility)
-whose best iterate warm-starts a Newton barrier polish via
-``initial=``. Like the numerical solvers in the paper,
-:func:`synthesize_piecewise` returns its best iterate as a *candidate*
-even when convergence is not certified. Exact validation of the
-surface condition then fails on rounded candidates — the negative
-result the paper reports.
+(:class:`repro.sdp.CompiledLmiSystem`) and solved by
+:func:`repro.sdp.solve_lmi_hybrid`: a deep-cut ellipsoid burn-in whose
+best iterate warm-starts a level-shift barrier polish. Like the
+numerical solvers in the paper, :func:`synthesize_piecewise` returns its
+best iterate as a *candidate* even when convergence is not certified.
+Exact validation of the surface condition then fails on rounded
+candidates — the negative result the paper reports.
+
+When the burn-in's deep cut strips the whole search ball, the candidate
+records ``info["proved_infeasible"]``. That is the ellipsoid's float
+emptiness claim, not an exact proof; the exact proof that no
+certificate exists at the nominal references is the equilibrium
+witness of :func:`repro.lyapunov.bistability_witness`.
 """
 
 from __future__ import annotations
@@ -34,19 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..sdp import (
-    CompiledLmiSystem,
-    LmiBlock,
-    solve_lmi_barrier,
-    solve_lmi_ellipsoid,
-    svec_basis,
-)
+from ..sdp import CompiledLmiSystem, LmiBlock, solve_lmi_hybrid, svec_basis
 from ..systems import PwaSystem
 
-__all__ = ["PiecewiseCandidate", "synthesize_piecewise", "SOLVERS"]
+__all__ = ["PiecewiseCandidate", "synthesize_piecewise"]
 
 ENCODINGS = ("continuous", "relaxed")
-SOLVERS = ("hybrid", "ellipsoid", "barrier")
 
 
 @dataclass
@@ -112,11 +107,6 @@ def synthesize_piecewise(
     max_iterations: int = 60_000,
     initial_radius: float = 50.0,
     tolerance: float = 1e-6,
-    solver: str = "hybrid",
-    oracle_batch: bool = True,
-    sweep_every: int | None = 16,
-    burn_in: int | None = None,
-    polish_outer: int = 60,
 ) -> PiecewiseCandidate:
     """Set up and run the S-procedure LMI system for the switched loop.
 
@@ -127,26 +117,11 @@ def synthesize_piecewise(
     accept a tolerance-feasible iterate — which exact validation then
     rejects (the paper's Section VI-B.2 observation).
 
-    ``solver`` selects the engine:
-
-    * ``"hybrid"`` (default) — ellipsoid burn-in (up to ``burn_in``
-      iterations, default the full ``max_iterations`` budget, exiting
-      early on feasibility or an infeasibility proof) followed by a
-      warm-started barrier Newton polish of the best iterate
-      (``polish_outer`` level-shift rounds). Keeps the ellipsoid's
-      power to *prove* emptiness while the polish maximizes the
-      candidate's joint margin;
-    * ``"ellipsoid"`` — the certifying deep-cut method alone;
-    * ``"barrier"`` — the level-shift candidate finder alone (negative
-      best margin is evidence, not proof, of infeasibility).
-
-    ``oracle_batch`` toggles the tensorized batched separation oracle
-    (``False`` = the original per-block differential oracle), and
-    ``sweep_every`` its active-set mode (full violation sweep every K
-    iterations; ``None`` = every iteration).
+    The system is solved by :func:`repro.sdp.solve_lmi_hybrid` in a
+    ball of radius ``initial_radius`` with ``max_iterations`` ellipsoid
+    iterations. ``info["proved_infeasible"]`` is the burn-in's float
+    emptiness claim: numerical evidence, not an exact proof.
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"solver must be one of {SOLVERS}")
     if encoding not in ENCODINGS:
         raise ValueError(f"encoding must be one of {ENCODINGS}")
     if system.n_modes != 2:
@@ -266,61 +241,12 @@ def synthesize_piecewise(
         coeffs = p_coefficients(mode, sign=-1.0)
         blocks.append(LmiBlock(cap, coeffs, name=f"cap{mode}"))
 
-    compiled = CompiledLmiSystem(blocks, dim)
-
     # Like the paper's numerical solvers, keep the best iterate as a
-    # *candidate* even when the LMI system is (provably) infeasible.
-    polish_iterations = 0
-    if solver in ("ellipsoid", "hybrid"):
-        budget = max_iterations
-        if solver == "hybrid" and burn_in is not None:
-            budget = min(burn_in, max_iterations)
-        result = solve_lmi_ellipsoid(
-            blocks,
-            dimension=dim,
-            initial_radius=initial_radius,
-            max_iterations=budget,
-            raise_on_infeasible=False,
-            batch_oracle=oracle_batch,
-            sweep_every=sweep_every if oracle_batch else None,
-            compiled=compiled if oracle_batch else None,
-        )
-        x = result.x
-        feasible = result.feasible
-        iterations = result.iterations
-        worst = result.worst_violation
-        proved_infeasible = result.proved_infeasible
-        if solver == "hybrid" and not proved_infeasible:
-            # Polish phase: warm-start the barrier's Newton centering
-            # from the burn-in iterate and keep whichever iterate has
-            # the better joint margin (t_star = -worst violation).
-            polish = solve_lmi_barrier(
-                None,
-                dimension=dim,
-                radius=initial_radius,
-                target_margin=0.0,
-                max_outer=polish_outer,
-                initial=x,
-                compiled=compiled,
-            )
-            polish_iterations = polish.iterations
-            if -polish.t_star <= worst:
-                x = polish.x
-                worst = -polish.t_star
-                feasible = feasible or polish.feasible
-    else:
-        barrier = solve_lmi_barrier(
-            None,
-            dimension=dim,
-            radius=initial_radius,
-            target_margin=0.0,
-            compiled=compiled,
-        )
-        x = barrier.x
-        feasible = barrier.feasible
-        iterations = barrier.iterations
-        worst = -barrier.t_star
-        proved_infeasible = False  # the barrier never proves emptiness
+    # *candidate* even when the LMI system is claimed empty.
+    result = solve_lmi_hybrid(
+        CompiledLmiSystem(blocks, dim), initial_radius, max_iterations
+    )
+    x = result.x
 
     def unpack(mode: int) -> np.ndarray:
         p = sum(
@@ -340,17 +266,14 @@ def synthesize_piecewise(
     return PiecewiseCandidate(
         p=[unpack(0), unpack(1)],
         encoding=encoding,
-        feasible=feasible,
-        iterations=iterations,
-        worst_violation=worst,
+        feasible=result.feasible,
+        iterations=result.iterations,
+        worst_violation=result.worst_violation,
         synthesis_time=elapsed,
         info={
             "dimension": dim,
             "epsilon": epsilon,
-            "proved_infeasible": proved_infeasible,
-            "solver": solver,
-            "oracle_batch": oracle_batch,
-            "sweep_every": sweep_every,
-            "polish_iterations": polish_iterations,
+            "proved_infeasible": result.proved_infeasible,
+            "polish_iterations": result.polish_iterations,
         },
     )

@@ -103,7 +103,7 @@ def _check_block_order(h) -> None:
             result = solve_lmi_ellipsoid(
                 block_list, dimension,
                 max_iterations=profile.lmi_block_iterations,
-                raise_on_infeasible=False, batch_oracle=batch,
+                batch_oracle=batch,
             )
         except Exception as exc:
             h.record.harness_errors.append(

@@ -349,16 +349,12 @@ class PiecewiseTask(Task):
     """One piecewise synthesis+validation attempt (Sec. VI-B.2)."""
 
     def __init__(self, case_name, size, encoding, max_iterations,
-                 max_boxes, conditions_scope, solver="hybrid",
-                 oracle_batch=True):
+                 max_boxes):
         self.case_name = case_name
         self.size = size
         self.encoding = encoding
         self.max_iterations = max_iterations
         self.max_boxes = max_boxes
-        self.conditions_scope = conditions_scope
-        self.solver = solver
-        self.oracle_batch = oracle_batch
 
     def run(self):
         case = case_by_name(self.case_name)
@@ -366,13 +362,11 @@ class PiecewiseTask(Task):
         candidate = synthesize_piecewise(
             system, encoding=self.encoding,
             max_iterations=self.max_iterations,
-            solver=self.solver,
-            oracle_batch=self.oracle_batch,
         )
         report = validate_piecewise(
             candidate,
             system,
-            conditions_scope=self.conditions_scope,
+            conditions_scope="surface",
             max_boxes=self.max_boxes,
         )
         return PiecewiseRecord(
@@ -386,7 +380,6 @@ class PiecewiseTask(Task):
             validation_valid=report.valid,
             failed_conditions=report.failed_conditions,
             validation_time=report.time,
-            solver=self.solver,
         )
 
     def _aborted(self, reason, elapsed):
@@ -395,7 +388,6 @@ class PiecewiseTask(Task):
             lmi_feasible=False, proved_infeasible=False, iterations=0,
             synth_time=elapsed, validation_valid=None,
             failed_conditions=[reason], validation_time=0.0,
-            solver=self.solver,
         )
 
     def on_timeout(self, elapsed):

@@ -4,11 +4,17 @@ The paper solves its LMI problems through PICOS with CVXOPT, Mosek and
 SMCP backends; none are available offline, so this package provides an
 equivalent front-end (:func:`solve_lyapunov_lmi`) over three hand-built
 backends with deliberately different cost/conditioning profiles, plus
-two generic block-LMI engines (certifying deep-cut ellipsoid, fast
-level-shift barrier) for the piecewise-quadratic S-procedure problems.
+two generic block-LMI engines (deep-cut ellipsoid, level-shift barrier)
+that :func:`solve_lmi_hybrid` chains into the one pipeline solving the
+piecewise-quadratic S-procedure problems.
 """
 
-from .barrier import BarrierResult, solve_lmi_barrier
+from .barrier import (
+    BarrierResult,
+    HybridResult,
+    solve_lmi_barrier,
+    solve_lmi_hybrid,
+)
 from .generic import (
     CompiledLmiSystem,
     EllipsoidResult,
@@ -48,6 +54,8 @@ __all__ = [
     "solve_lmi_ellipsoid",
     "BarrierResult",
     "solve_lmi_barrier",
+    "HybridResult",
+    "solve_lmi_hybrid",
     "lyap_basis_tensor",
     "lyapunov_lmi_blocks",
     "candidate_screen_blocks",

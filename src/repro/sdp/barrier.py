@@ -22,27 +22,38 @@ The Newton assembly runs on the precompiled tensors of
 gradient is one trace einsum and the Hessian one congruence einsum over
 the stacked ``(B, d, n, n)`` coefficient tensor, replacing the former
 per-coefficient Python loops. ``initial=`` warm-starts the centering
-from an external iterate — the hybrid pipeline in
-:func:`repro.lyapunov.synthesize_piecewise` hands the ellipsoid
-burn-in's best iterate here for polishing.
+from an external iterate.
 
-Roles of the two generic engines (they solve the same systems):
+Roles of the two generic engines (they solve the same systems), and the
+one pipeline that combines them, :func:`solve_lmi_hybrid`:
 
-* ``solve_lmi_barrier`` — *fast candidate finder*; a negative final
-  margin is strong evidence of infeasibility but **not** a proof;
-* :func:`repro.sdp.generic.solve_lmi_ellipsoid` — slow but *certifying*
-  (its deep-cut collapse proves emptiness within the search radius).
+* :func:`repro.sdp.generic.solve_lmi_ellipsoid` — the *burn-in*. Its
+  deep-cut collapse claims emptiness within the search ball; the claim
+  is computed in floats, so it is numerical evidence, not an exact
+  proof;
+* ``solve_lmi_barrier`` — the *polish*: it maximizes the joint margin
+  from the burn-in's best iterate. A negative final margin is evidence
+  of infeasibility, never a claim.
+
+Both Section VI-B.2 loops solve their LMI systems through
+:func:`solve_lmi_hybrid`: :func:`repro.lyapunov.synthesize_piecewise`
+and :func:`repro.lyapunov.cegis_piecewise`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .generic import CompiledLmiSystem, LmiBlock
+from .generic import CompiledLmiSystem, solve_lmi_ellipsoid
 
-__all__ = ["BarrierResult", "solve_lmi_barrier"]
+__all__ = [
+    "BarrierResult",
+    "solve_lmi_barrier",
+    "HybridResult",
+    "solve_lmi_hybrid",
+]
 
 
 @dataclass
@@ -53,7 +64,6 @@ class BarrierResult:
     t_star: float  # best joint margin min_j (lambda_min(F_j) - margin_j)
     feasible: bool  # t_star > 0
     iterations: int
-    history: list = field(default_factory=list)
 
 
 def _joint_margin(system: CompiledLmiSystem, x: np.ndarray) -> float:
@@ -67,8 +77,7 @@ def _joint_margin(system: CompiledLmiSystem, x: np.ndarray) -> float:
 
 
 def solve_lmi_barrier(
-    blocks: list[LmiBlock] | None,
-    dimension: int,
+    system: CompiledLmiSystem,
     target_margin: float = 0.0,
     radius: float = 1e3,
     pull: float = 0.5,
@@ -76,43 +85,18 @@ def solve_lmi_barrier(
     max_outer: int = 200,
     max_newton: int = 30,
     newton_tol: float = 1e-10,
-    record_history: bool = False,
     initial: np.ndarray | None = None,
-    compiled: CompiledLmiSystem | None = None,
 ) -> BarrierResult:
-    """Maximize the joint LMI margin within ``|x_i| <= radius``.
+    """Maximize the joint LMI margin of ``system`` within ``|x_i| <= radius``.
 
     ``pull`` in (0, 1) sets how aggressively the shift chases the
     incumbent margin each round; the loop stops at ``target_margin``,
     on stall, or after ``max_outer`` rounds. ``initial`` warm-starts the
-    centering from an external iterate (clipped into the box);
-    ``compiled`` reuses an existing :class:`CompiledLmiSystem` instead
-    of compiling ``blocks`` again — the compile already validated the
-    blocks, so ``blocks`` may then be ``None`` and no per-block check
-    is repeated (the hybrid pipeline's polish phase takes this path on
-    every call).
+    centering from an external iterate (clipped into the box).
     """
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
     if not 0 < pull < 1:
         raise ValueError("pull must be in (0, 1)")
-    if compiled is not None:
-        if compiled.dimension != dimension:
-            raise ValueError(
-                f"compiled system has dimension {compiled.dimension}, "
-                f"expected {dimension}"
-            )
-        system = compiled
-    else:
-        if blocks is None:
-            raise ValueError("blocks is required without a compiled system")
-        for block in blocks:
-            if len(block.coefficients) != dimension:
-                raise ValueError(
-                    f"block {block.name!r} has {len(block.coefficients)} "
-                    f"coefficients, expected {dimension}"
-                )
-        system = CompiledLmiSystem(blocks, dimension)
+    dimension = system.dimension
     # Margins are folded at evaluation time: every shifted block is
     # G_j(x) = F_j(x) - (margin_j + t) I.
 
@@ -148,7 +132,6 @@ def solve_lmi_barrier(
     t = margin - 1.0
     best_margin = margin
     best_x = x.copy()
-    history: list[float] = []
     iterations = 0
     for _outer in range(max_outer):
         # --- Newton-center phi_t over x --------------------------------
@@ -198,8 +181,6 @@ def solve_lmi_barrier(
         if margin > best_margin:
             best_margin = margin
             best_x = x.copy()
-        if record_history:
-            history.append(margin)
         if best_margin > target_margin:
             break
         new_t = margin - (1.0 - pull) * (margin - t)
@@ -211,5 +192,94 @@ def solve_lmi_barrier(
         t_star=best_margin,
         feasible=best_margin > 0,
         iterations=iterations,
-        history=history,
+    )
+
+
+@dataclass
+class HybridResult:
+    """Outcome of :func:`solve_lmi_hybrid`: the adopted iterate.
+
+    ``worst_violation`` is ``max_j (margin_j - lambda_min(F_j(x)))`` at
+    ``x``: the burn-in's, or the polish's when the polished iterate was
+    adopted (``polished``). ``proved_infeasible`` is the ellipsoid's
+    float emptiness claim, left standing after any cold re-solve; it is
+    numerical evidence, not an exact proof. ``iterations`` counts the
+    ellipsoid iterations of every burn-in, ``polish_iterations`` the
+    barrier's Newton steps.
+    """
+
+    x: np.ndarray
+    worst_violation: float
+    feasible: bool
+    proved_infeasible: bool
+    iterations: int
+    polish_iterations: int
+    polished: bool
+
+
+def solve_lmi_hybrid(
+    compiled: CompiledLmiSystem,
+    radius: float,
+    max_iterations: int,
+    target_margin: float = 0.0,
+    center: np.ndarray | None = None,
+) -> HybridResult:
+    """Solve an LMI system by ellipsoid burn-in plus barrier polish.
+
+    1. Burn in with the deep-cut ellipsoid (tensorized oracle, a full
+       violation sweep every 16 iterations) from the ball of ``radius``
+       around ``center`` (default the origin), for up to
+       ``max_iterations`` iterations.
+    2. If a warm start (``center`` given) claims the LMI is empty, solve
+       again from the origin: the claim covers only the ball around the
+       start.
+    3. Unless emptiness is claimed, polish the burn-in's best iterate
+       with the level-shift barrier (60 rounds, stopping at
+       ``target_margin``) and adopt the polished iterate only if its
+       joint margin is no worse.
+
+    Both engines are called through this module's globals, so a tracer
+    that rebinds them sees every call.
+    """
+
+    def burn_in(start: np.ndarray | None):
+        return solve_lmi_ellipsoid(
+            compiled.blocks,
+            dimension=compiled.dimension,
+            initial_radius=radius,
+            max_iterations=max_iterations,
+            sweep_every=16,
+            compiled=compiled,
+            initial_center=start,
+        )
+
+    result = burn_in(center)
+    iterations = result.iterations
+    if result.proved_infeasible and center is not None:
+        result = burn_in(None)
+        iterations += result.iterations
+    x, worst, feasible = result.x, result.worst_violation, result.feasible
+    polish_iterations = 0
+    polished = False
+    if not result.proved_infeasible:
+        polish = solve_lmi_barrier(
+            compiled,
+            target_margin=target_margin,
+            radius=radius,
+            max_outer=60,
+            initial=x,
+        )
+        polish_iterations = polish.iterations
+        if -polish.t_star <= worst:
+            x, worst = polish.x, -polish.t_star
+            feasible = feasible or polish.feasible
+            polished = True
+    return HybridResult(
+        x=x,
+        worst_violation=worst,
+        feasible=feasible,
+        proved_infeasible=result.proved_infeasible,
+        iterations=iterations,
+        polish_iterations=polish_iterations,
+        polished=polished,
     )

@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import LmiInfeasibleError
-
 __all__ = [
     "LmiBlock",
     "CompiledLmiSystem",
@@ -377,6 +375,7 @@ class EllipsoidResult:
     iterations: int
     worst_violation: float
     history: list[float] = field(default_factory=list)
+    #: a cut of depth >= 1 claimed the initial ball empty (in floats)
     proved_infeasible: bool = False
 
 
@@ -386,7 +385,6 @@ def solve_lmi_ellipsoid(
     initial_radius: float = 1e3,
     max_iterations: int = 50_000,
     record_history: bool = False,
-    raise_on_infeasible: bool = True,
     batch_oracle: bool = True,
     sweep_every: int | None = None,
     compiled: CompiledLmiSystem | None = None,
@@ -404,15 +402,16 @@ def solve_lmi_ellipsoid(
     best-iterate claim. ``compiled`` reuses an existing
     :class:`CompiledLmiSystem` (e.g. shared with the barrier polisher)
     instead of compiling ``blocks`` again. ``initial_center`` recenters
-    the starting ellipsoid (default: the origin) — the CEGIS loop's
-    resynthesis warm start, which keeps the initial ball around the
-    previous round's near-feasible iterate. Note the infeasibility
-    certificate (cut depth >= 1) then covers the ball around *that*
-    center.
+    the starting ellipsoid (default: the origin) — the ``center`` of
+    :func:`repro.sdp.solve_lmi_hybrid`, through which the CEGIS loop
+    keeps the initial ball around the previous round's near-feasible
+    iterate.
 
-    Raises :class:`LmiInfeasibleError` when the ellipsoid volume shrinks
-    below the point where any feasible set of nontrivial volume would
-    have been found.
+    A cut of depth >= 1 strips the whole ellipsoid: the run then stops
+    with ``proved_infeasible=True`` and the best iterate. The claim is
+    computed in floats and covers only the ball of ``initial_radius``
+    around the start, so it is numerical evidence that the system is
+    empty there, not an exact proof.
     """
     if dimension < 1:
         raise ValueError("dimension must be positive")
@@ -501,13 +500,8 @@ def solve_lmi_ellipsoid(
         # Depth of the cut (normalized); > 1 certifies an empty ellipsoid.
         depth = worst / g_norm
         if depth >= 1.0:
-            # The deep cut strips the entire ellipsoid: a proof that no
-            # feasible point exists within the initial radius.
-            if raise_on_infeasible:
-                raise LmiInfeasibleError(
-                    f"ellipsoid cut depth {depth:.3g} >= 1: LMI system "
-                    f"infeasible within radius {initial_radius:g}"
-                )
+            # The deep cut strips the entire ellipsoid: no feasible
+            # point within the initial ball, up to float rounding.
             return EllipsoidResult(
                 best_x, False, iteration, best_violation, history,
                 proved_infeasible=True,

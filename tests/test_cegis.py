@@ -39,6 +39,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.lyapunov.cegis as cegis_module
+import repro.sdp.barrier as barrier_module
 from repro.engine import attracting_reference, case_by_name, nominal_reference
 from repro.exact import RationalMatrix, sylvester_positive_definite
 from repro.lyapunov import (
@@ -221,7 +222,7 @@ class TestBistabilityWitness:
             raise AssertionError("the witness must decide before synthesis")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cegis_module, "solve_lmi_ellipsoid", refuse)
+            patch.setattr(barrier_module, "solve_lmi_ellipsoid", refuse)
             outcome = cegis_piecewise(
                 _system(name, "nominal"), synthesis=synthesis
             )
@@ -246,7 +247,7 @@ class TestBistabilityWitness:
         the loop goes on to validate."""
         scenario = generate_cegis_scenario("cegis-shared", 3, 15)
         calls = []
-        solve = cegis_module.solve_lmi_ellipsoid
+        solve = barrier_module.solve_lmi_ellipsoid
 
         def recording(*args, **kwargs):
             result = solve(*args, **kwargs)
@@ -256,7 +257,7 @@ class TestBistabilityWitness:
             return result
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cegis_module, "solve_lmi_ellipsoid", recording)
+            patch.setattr(barrier_module, "solve_lmi_ellipsoid", recording)
             outcome = cegis_piecewise(scenario.system, synthesis="sampled")
         assert outcome.status == "validated"
         claim = calls.index((False, True))
@@ -562,7 +563,7 @@ class TestWithCuts:
         center = np.full(lmi.dim, 5.0)
         result = solve_lmi_ellipsoid(
             compiled.blocks, dimension=lmi.dim, initial_radius=200.0,
-            max_iterations=20_000, raise_on_infeasible=False,
+            max_iterations=20_000,
             compiled=compiled, initial_center=center,
         )
         assert result.feasible
@@ -592,7 +593,7 @@ class TestProvenanceAndFamily:
         lmi = assemble_centered_lmi(scenario.system)
         result = solve_lmi_ellipsoid(
             lmi.blocks("full"), dimension=lmi.dim, initial_radius=200.0,
-            max_iterations=20_000, raise_on_infeasible=False,
+            max_iterations=20_000,
             compiled=CompiledLmiSystem(lmi.blocks("full"), lmi.dim),
         )
         certificate = snap_certificate(lmi, result.x)

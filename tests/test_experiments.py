@@ -158,8 +158,15 @@ class TestCli:
     def test_main_rejects_unknown(self):
         from repro.experiments.__main__ import main
 
-        with pytest.raises(SystemExit):
-            main(["table9"])
+        for argv in (
+            ["table9"],
+            # The piecewise pipeline is no longer selectable.
+            ["piecewise", "--quick", "--solver", "hybrid"],
+            ["piecewise", "--quick", "--oracle-batch", "on"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2, argv
 
 
 class TestRenderEdgeCases:

@@ -360,18 +360,21 @@ class TestRunTasksReplay:
 
     def test_piecewise_line_with_phase_timers_reruns(self, tmp_path):
         # A PiecewiseRecord journaled while it still carried its
-        # ``phases`` timers no longer decodes, so resume re-runs it.
+        # ``phases`` timers or its ``solver`` no longer decodes, so
+        # resume re-runs it.
         record = PiecewiseRecord(
             case="size3", size=3, encoding="continuous",
             lmi_feasible=False, proved_infeasible=False, iterations=1,
             synth_time=0.5, validation_valid=None,
         )
-        payload = encode_value(record)
-        payload["f"]["phases"] = encode_value({})
-        path = tmp_path / "j.jsonl"
-        path.write_text(json.dumps({
-            "v": 1, "fp": "fp0", "kind": "PiecewiseTask", "status": "ok",
-            "attempts": 1, "error": None, "result": payload,
-        }) + "\n")
-        with Journal(path, resume=True) as journal:
-            assert "fp0" not in journal
+        for field_name, value in (("phases", {}), ("solver", "hybrid")):
+            payload = encode_value(record)
+            payload["f"][field_name] = encode_value(value)
+            path = tmp_path / f"{field_name}.jsonl"
+            path.write_text(json.dumps({
+                "v": 1, "fp": "fp0", "kind": "PiecewiseTask",
+                "status": "ok", "attempts": 1, "error": None,
+                "result": payload,
+            }) + "\n")
+            with Journal(path, resume=True) as journal:
+                assert "fp0" not in journal, field_name

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.sdp.barrier as barrier_module
 from repro.engine import case_by_name
 from repro.lyapunov import ENCODINGS, PiecewiseCandidate, synthesize_piecewise
 from repro.systems import AffineSystem, HalfSpace, PolyhedralRegion, PwaMode, PwaSystem
@@ -57,8 +58,9 @@ class TestSynthesizePiecewise:
     def test_engine_case_proved_infeasible(self, engine_size3):
         """With the nominal reference both equilibria are locally stable
         in their own regions (bistable switched system): no global
-        piecewise-quadratic certificate can exist, and the ellipsoid
-        method proves it."""
+        piecewise-quadratic certificate can exist. The ellipsoid burn-in
+        claims the LMI empty in floats; tests/test_cegis.py pins the
+        exact proof (the equilibrium witness)."""
         candidate = synthesize_piecewise(
             engine_size3, encoding="continuous", max_iterations=6_000
         )
@@ -87,101 +89,42 @@ class TestSynthesizePiecewise:
         assert candidate.encoding == encoding
         assert candidate.synthesis_time > 0
 
-    def test_unknown_solver(self, engine_size3):
-        with pytest.raises(ValueError):
-            synthesize_piecewise(engine_size3, solver="simplex")
-
-    @pytest.mark.parametrize("solver", ("hybrid", "ellipsoid"))
-    def test_solver_info_and_phases(self, solver):
+    def test_polish_runs_on_feasible_system(self):
         system = shared_equilibrium_system()
         candidate = synthesize_piecewise(
-            system, encoding="continuous", max_iterations=20_000,
-            solver=solver,
+            system, encoding="continuous", max_iterations=20_000
         )
         assert candidate.feasible
-        assert candidate.info["solver"] == solver
-        # Only the hybrid pipeline runs the barrier polish phase.
-        if solver == "ellipsoid":
-            assert candidate.info["polish_iterations"] == 0
-        else:
-            assert candidate.info["polish_iterations"] > 0
+        assert candidate.info["polish_iterations"] > 0
 
-    def test_oracle_batch_off_agrees(self):
-        """The per-block differential oracle and the tensorized one
-        reach the same verdict on the feasible toy system.  (Iterates
-        are not bit-identical: tensordot and the per-block accumulation
-        round differently, and the ellipsoid trajectory amplifies the
-        ~1e-16 difference over hundreds of cuts.)"""
-        system = shared_equilibrium_system()
-        on = synthesize_piecewise(
-            system, encoding="continuous", max_iterations=20_000,
-            solver="ellipsoid", sweep_every=None,
+
+class TestSharedPipeline:
+    """Both encodings on the nominal size3 loop run the one burn-in plus
+    polish pipeline and keep the paper's negative result."""
+
+    def test_engine_float_claim_skips_polish(self, engine_size3):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a claimed-empty system is not polished")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(barrier_module, "solve_lmi_barrier", refuse)
+            candidate = synthesize_piecewise(
+                engine_size3, encoding="continuous", max_iterations=6_000
+            )
+        assert not candidate.feasible
+        assert candidate.info["proved_infeasible"]
+        assert candidate.info["polish_iterations"] == 0
+
+    def test_relaxed_candidate_fails_surface_validation(self, engine_size3):
+        candidate = synthesize_piecewise(
+            engine_size3, encoding="relaxed", max_iterations=4_000
         )
-        off = synthesize_piecewise(
-            system, encoding="continuous", max_iterations=20_000,
-            solver="ellipsoid", oracle_batch=False,
+        report = validate_piecewise(
+            candidate, engine_size3, conditions_scope="surface",
+            max_boxes=4_000,
         )
-        assert on.feasible and off.feasible
-        # Same order of work: the trajectories track each other closely.
-        assert abs(on.iterations - off.iterations) <= 0.05 * off.iterations
-        # Both candidates are genuinely feasible for both modes.
-        for candidate in (on, off):
-            assert candidate.value(0, np.array([1.0, 1.0])) > 0
-            assert candidate.value(1, np.array([-2.0, 0.5])) > 0
-
-
-class TestHybridEllipsoidEquivalence:
-    """The hybrid pipeline must be a drop-in for the pure ellipsoid
-    solver: same infeasibility proofs on the engine cases and, on
-    feasible systems, candidates that pass the same exact validation."""
-
-    def test_feasible_candidates_both_validate(self):
-        system = shared_equilibrium_system()
-        reports = {}
-        for solver in ("hybrid", "ellipsoid"):
-            candidate = synthesize_piecewise(
-                system, encoding="continuous", max_iterations=20_000,
-                solver=solver,
-            )
-            assert candidate.feasible, solver
-            reports[solver] = validate_piecewise(
-                candidate, system, conditions_scope="surface",
-                max_boxes=2_000,
-            )
-        assert reports["hybrid"].valid == reports["ellipsoid"].valid
-
-    def test_engine_proof_preserved(self, engine_size3):
-        """Hybrid must not trade away the ellipsoid method's
-        infeasibility proof on the case-study system (the burn-in covers
-        the full budget, and polish only runs when nothing is proved)."""
-        verdicts = {}
-        for solver in ("hybrid", "ellipsoid"):
-            candidate = synthesize_piecewise(
-                engine_size3, encoding="continuous", max_iterations=6_000,
-                solver=solver,
-            )
-            verdicts[solver] = (
-                candidate.feasible, candidate.info["proved_infeasible"]
-            )
-        assert verdicts["hybrid"] == verdicts["ellipsoid"]
-
-    def test_engine_validation_verdict_matches(self, engine_size3):
-        """On the relaxed encoding (budget exhausted, best iterate) both
-        pipelines' candidates must fail exact validation the same way —
-        the paper's negative result does not depend on the solver."""
-        names = {}
-        for solver in ("hybrid", "ellipsoid"):
-            candidate = synthesize_piecewise(
-                engine_size3, encoding="relaxed", max_iterations=4_000,
-                solver=solver,
-            )
-            report = validate_piecewise(
-                candidate, engine_size3, conditions_scope="surface",
-                max_boxes=4_000,
-            )
-            assert report.valid is False, solver
-            names[solver] = set(report.failed_conditions)
-        assert names["hybrid"] and names["ellipsoid"]
+        assert report.valid is False
+        assert report.failed_conditions
 
 
 class TestValidatePiecewise:

@@ -207,12 +207,11 @@ class TestTensorizedOracleAgreement:
         blocks = self._system(seed, dimension)
         on = solve_lmi_ellipsoid(
             blocks, dimension=dimension, max_iterations=60,
-            raise_on_infeasible=False, record_history=True,
+            record_history=True,
         )
         off = solve_lmi_ellipsoid(
             blocks, dimension=dimension, max_iterations=60,
-            raise_on_infeasible=False, record_history=True,
-            batch_oracle=False,
+            record_history=True, batch_oracle=False,
         )
         prefix = min(len(on.history), len(off.history), 20)
         assert prefix >= 1, seed

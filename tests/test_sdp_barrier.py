@@ -1,9 +1,18 @@
-"""Tests for the log-barrier block-LMI engine (repro.sdp.barrier)."""
+"""Tests for the log-barrier block-LMI engine and the shared
+burn-in-plus-polish pipeline (repro.sdp.barrier)."""
 
 import numpy as np
 import pytest
 
-from repro.sdp import LmiBlock, solve_lmi_barrier, solve_lmi_ellipsoid, svec_basis
+import repro.sdp.barrier as barrier_module
+from repro.sdp import (
+    CompiledLmiSystem,
+    LmiBlock,
+    solve_lmi_barrier,
+    solve_lmi_ellipsoid,
+    solve_lmi_hybrid,
+    svec_basis,
+)
 
 
 def diag_block(f0_diag, coeff_diags, margin=0.0, name=""):
@@ -15,57 +24,55 @@ def diag_block(f0_diag, coeff_diags, margin=0.0, name=""):
     )
 
 
+def compile_1d(*blocks):
+    return CompiledLmiSystem(list(blocks), dimension=1)
+
+
 class TestBarrier:
     def test_simple_interval(self):
         # x > 1/2 and x < 2: margin maximized at x = 5/4 with t = 3/4.
-        blocks = [
+        system = compile_1d(
             diag_block([-0.5], [[1]], name="lower"),
             diag_block([2.0], [[-1]], name="upper"),
-        ]
-        result = solve_lmi_barrier(blocks, dimension=1, target_margin=10.0)
+        )
+        result = solve_lmi_barrier(system, target_margin=10.0)
         assert result.feasible
         assert 0.5 < result.x[0] < 2.0
         assert result.t_star == pytest.approx(0.75, abs=1e-3)
 
     def test_early_stop_at_target(self):
-        blocks = [diag_block([-0.5], [[1]], name="lower")]
-        result = solve_lmi_barrier(blocks, dimension=1, target_margin=0.01)
+        system = compile_1d(diag_block([-0.5], [[1]], name="lower"))
+        result = solve_lmi_barrier(system, target_margin=0.01)
         assert result.feasible
         assert result.t_star > 0.01
 
     def test_infeasible_reports_negative_margin(self):
-        blocks = [
+        system = compile_1d(
             diag_block([-1.0], [[1]], name="x>=1"),
             diag_block([-1.0], [[-1]], name="x<=-1"),
-        ]
-        result = solve_lmi_barrier(blocks, dimension=1)
+        )
+        result = solve_lmi_barrier(system)
         assert not result.feasible
         assert result.t_star <= 0
         # The best margin of this system is -1 (at x = 0).
         assert result.t_star == pytest.approx(-1.0, abs=1e-2)
 
     def test_validation(self):
+        system = compile_1d(diag_block([1], [[1]]))
         with pytest.raises(ValueError):
-            solve_lmi_barrier([], dimension=0)
+            solve_lmi_barrier(system, pull=1.0)
         with pytest.raises(ValueError):
-            solve_lmi_barrier([diag_block([1], [[1]])], dimension=2)
-        with pytest.raises(ValueError):
-            solve_lmi_barrier(None, dimension=1)  # no blocks, no compiled
+            solve_lmi_barrier(system, initial=np.zeros(2))
 
     def test_compiled_only_matches_blocks_path(self):
-        from repro.sdp import CompiledLmiSystem
-
-        blocks = [
-            diag_block([-0.5], [[1]], name="lower"),
-            diag_block([2.0], [[-1]], name="upper"),
-        ]
-        compiled = CompiledLmiSystem(blocks, dimension=1)
-        direct = solve_lmi_barrier(blocks, dimension=1)
-        reused = solve_lmi_barrier(None, dimension=1, compiled=compiled)
-        assert reused.t_star == direct.t_star
-        assert np.array_equal(reused.x, direct.x)
-        with pytest.raises(ValueError):
-            solve_lmi_barrier(None, dimension=2, compiled=compiled)
+        """A system grown by ``with_cuts`` (the CEGIS loop's path)
+        polishes exactly like one compiled from the full block list."""
+        lower = diag_block([-0.5], [[1]], name="lower")
+        upper = diag_block([2.0], [[-1]], name="upper")
+        direct = solve_lmi_barrier(compile_1d(lower, upper))
+        grown = solve_lmi_barrier(compile_1d(lower).with_cuts([upper]))
+        assert grown.t_star == direct.t_star
+        assert np.array_equal(grown.x, direct.x)
 
     def test_lyapunov_block_system(self):
         """Same cross-check as the ellipsoid: find P > 0 with
@@ -81,7 +88,9 @@ class TestBarrier:
             ),
             LmiBlock(5.0 * np.eye(2), [-e.copy() for e in basis], name="cap"),
         ]
-        result = solve_lmi_barrier(blocks, dimension=len(basis), target_margin=0.05)
+        result = solve_lmi_barrier(
+            CompiledLmiSystem(blocks, len(basis)), target_margin=0.05
+        )
         assert result.feasible
         p = sum(x * e for x, e in zip(result.x, basis))
         assert np.linalg.eigvalsh(p).min() > 0
@@ -93,7 +102,7 @@ class TestBarrier:
             diag_block([-0.5, -0.5], [[1, 1]], name="lower"),
             diag_block([2, 2], [[-1, -1]], name="upper"),
         ]
-        b = solve_lmi_barrier(feasible, dimension=1)
+        b = solve_lmi_barrier(compile_1d(*feasible))
         e = solve_lmi_ellipsoid(feasible, dimension=1)
         assert b.feasible and e.feasible
 
@@ -101,64 +110,80 @@ class TestBarrier:
             diag_block([-1], [[1]], name="lower"),
             diag_block([-1], [[-1]], name="upper"),
         ]
-        b2 = solve_lmi_barrier(infeasible, dimension=1)
-        e2 = solve_lmi_ellipsoid(
-            infeasible, dimension=1, raise_on_infeasible=False
-        )
+        b2 = solve_lmi_barrier(compile_1d(*infeasible))
+        e2 = solve_lmi_ellipsoid(infeasible, dimension=1)
         assert not b2.feasible
         assert e2.proved_infeasible
 
-    def test_history_recorded(self):
-        blocks = [diag_block([-0.5], [[1]])]
-        result = solve_lmi_barrier(
-            blocks, dimension=1, record_history=True, target_margin=1e9,
-            max_outer=10,
+
+def _recording_ellipsoid(calls):
+    solve = barrier_module.solve_lmi_ellipsoid
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        calls.append((kwargs["initial_center"], result))
+        return result
+
+    return recording
+
+
+class TestHybrid:
+    def test_emptiness_claim_skips_the_polish(self):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a claimed-empty system is not polished")
+
+        system = compile_1d(
+            diag_block([-1], [[1]], name="x>=1"),
+            diag_block([-1], [[-1]], name="x<=-1"),
         )
-        assert len(result.history) >= 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(barrier_module, "solve_lmi_barrier", refuse)
+            result = solve_lmi_hybrid(system, 100.0, 1_000)
+        assert result.proved_infeasible
+        assert not result.feasible
+        assert result.polish_iterations == 0
+        assert not result.polished
 
-
-class TestBarrierInPiecewise:
-    def test_barrier_solver_option(self):
-        from repro.engine import case_by_name
-        from repro.lyapunov import synthesize_piecewise
-
-        case = case_by_name("size3")
-        system = case.switched_system(case.reference())
-        candidate = synthesize_piecewise(
-            system, encoding="continuous", solver="barrier"
+    def test_polish_never_loses_margin(self):
+        system = compile_1d(
+            diag_block([-0.5], [[1]], name="lower"),
+            diag_block([2.0], [[-1]], name="upper"),
         )
-        assert candidate.info["solver"] == "barrier"
-        # The case-study system is genuinely infeasible (bistable), so
-        # the barrier must report a non-feasible best iterate too.
-        assert not candidate.feasible
-        assert not candidate.info["proved_infeasible"]
-        assert np.abs(candidate.p[0]).max() > 0
-
-    def test_unknown_solver_rejected(self):
-        from repro.engine import case_by_name
-        from repro.lyapunov import synthesize_piecewise
-
-        case = case_by_name("size3")
-        system = case.switched_system(case.reference())
-        with pytest.raises(ValueError):
-            synthesize_piecewise(system, solver="mosek")
-
-    def test_barrier_finds_feasible_shared_equilibrium(self):
-        from repro.lyapunov import synthesize_piecewise
-        from repro.systems import (
-            AffineSystem, HalfSpace, PolyhedralRegion, PwaMode, PwaSystem,
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                barrier_module, "solve_lmi_ellipsoid",
+                _recording_ellipsoid(calls),
+            )
+            result = solve_lmi_hybrid(system, 10.0, 1_000)
+        [(_, burn_in)] = calls
+        assert result.feasible
+        assert result.polish_iterations > 0
+        assert result.worst_violation <= burn_in.worst_violation
+        assert result.worst_violation == pytest.approx(
+            float(system.violations(result.x).max()), abs=1e-12
         )
 
-        mode0 = PwaMode(
-            flow=AffineSystem([[-1.0, 0.0], [0.0, -2.0]], [0.0, 0.0]),
-            region=PolyhedralRegion([HalfSpace((1, 0), 1)]),
+    def test_claimed_empty_warm_start_is_solved_cold(self):
+        # The ball of radius 1 around x = 100 misses [1/2, 2]; the one
+        # around the origin does not.
+        system = compile_1d(
+            diag_block([-0.5], [[1]], name="lower"),
+            diag_block([2.0], [[-1]], name="upper"),
         )
-        mode1 = PwaMode(
-            flow=AffineSystem([[-3.0, 0.0], [0.0, -1.0]], [0.0, 0.0]),
-            region=PolyhedralRegion([HalfSpace((-1, 0), -1, strict=True)]),
-        )
-        system = PwaSystem([mode0, mode1])
-        candidate = synthesize_piecewise(
-            system, encoding="continuous", solver="barrier"
-        )
-        assert candidate.feasible
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                barrier_module, "solve_lmi_ellipsoid",
+                _recording_ellipsoid(calls),
+            )
+            result = solve_lmi_hybrid(
+                system, 1.0, 1_000, center=np.array([100.0])
+            )
+        [(warm, claim), (cold, solved)] = calls
+        assert warm[0] == 100.0 and claim.proved_infeasible
+        assert cold is None and not solved.proved_infeasible
+        assert not result.proved_infeasible
+        assert result.feasible
+        assert result.iterations == claim.iterations + solved.iterations
+        assert 0.5 < result.x[0] < 2.0

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sdp import (
-    CompiledLmiSystem,
-    LmiBlock,
-    LmiInfeasibleError,
-    solve_lmi_ellipsoid,
-)
+from repro.sdp import CompiledLmiSystem, LmiBlock, solve_lmi_ellipsoid
 
 
 def diag_block(f0_diag, coeff_diags, margin=0.0, name=""):
@@ -63,14 +58,15 @@ class TestEllipsoid:
         assert np.linalg.eigvalsh(m).min() >= 0.1
         assert x < 3
 
-    def test_infeasible_raises_or_exhausts(self):
+    def test_infeasible_claims_emptiness(self):
         # x >= 1 and x <= -1 simultaneously: empty.
         blocks = [
             diag_block([-1], [[1]], name="lower"),
             diag_block([-1], [[-1]], name="upper"),
         ]
-        with pytest.raises(LmiInfeasibleError):
-            solve_lmi_ellipsoid(blocks, dimension=1, initial_radius=100.0)
+        result = solve_lmi_ellipsoid(blocks, dimension=1, initial_radius=100.0)
+        assert result.proved_infeasible
+        assert not result.feasible
 
     def test_budget_exhaustion_returns_best(self):
         blocks = [diag_block([-0.5], [[1]])]
@@ -149,8 +145,7 @@ class TestEllipsoid:
             diag_block([1], [[-1]], margin=1e-9, name="upper"),
         ]
         result = solve_lmi_ellipsoid(
-            blocks, dimension=1, initial_radius=10.0,
-            raise_on_infeasible=False, max_iterations=10_000,
+            blocks, dimension=1, initial_radius=10.0, max_iterations=10_000,
         )
         assert not result.feasible
         assert result.proved_infeasible or result.iterations < 10_000
@@ -162,12 +157,7 @@ class TestEllipsoid:
             diag_block([-1], [[1]], margin=0.1, name="lower"),
             diag_block([-1], [[-1]], margin=0.1, name="upper"),
         ]
-        with pytest.raises(LmiInfeasibleError, match="infeasib"):
-            solve_lmi_ellipsoid(blocks, dimension=1, initial_radius=100.0)
-        result = solve_lmi_ellipsoid(
-            blocks, dimension=1, initial_radius=100.0,
-            raise_on_infeasible=False,
-        )
+        result = solve_lmi_ellipsoid(blocks, dimension=1, initial_radius=100.0)
         assert result.proved_infeasible
         assert not result.feasible
 
@@ -178,10 +168,7 @@ class TestEllipsoid:
             diag_block([-1, -1], [[1, 1], [0, 0]], name="lower"),
             diag_block([-1, -1], [[-1, -1], [0, 0]], name="upper"),
         ]
-        result = solve_lmi_ellipsoid(
-            blocks, dimension=2, initial_radius=50.0,
-            raise_on_infeasible=False,
-        )
+        result = solve_lmi_ellipsoid(blocks, dimension=2, initial_radius=50.0)
         assert result.proved_infeasible
         assert not result.feasible
 
@@ -277,13 +264,9 @@ class TestCompiledLmiSystem:
 
     def test_batch_oracle_off_matches_on(self):
         blocks = self._blocks()
-        on = solve_lmi_ellipsoid(
-            blocks, dimension=3, max_iterations=500,
-            raise_on_infeasible=False,
-        )
+        on = solve_lmi_ellipsoid(blocks, dimension=3, max_iterations=500)
         off = solve_lmi_ellipsoid(
-            blocks, dimension=3, max_iterations=500,
-            raise_on_infeasible=False, batch_oracle=False,
+            blocks, dimension=3, max_iterations=500, batch_oracle=False,
         )
         assert on.feasible == off.feasible
         assert on.iterations == off.iterations
