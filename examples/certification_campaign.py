@@ -1,13 +1,13 @@
 """A miniature certification campaign for the engine control loop.
 
-Chains four of the library's independent evidence sources the way a
+Chains three of the library's independent evidence sources the way a
 certification workflow would:
 
 1. exact Lyapunov proof of mode stability, requested through the
    certification service (content-addressed: a rerun is a cache hit);
-2. a machine-checkable certificate, serialized and re-verified;
-3. failure injection: tolerated actuator/sensor degradation margins;
-4. Monte Carlo validation of the reference-perturbation radius.
+2. the exact robust level: the largest Lyapunov sublevel set that
+   reaches no point of the switching surface where the flow leaves;
+3. Monte Carlo validation of the reference-perturbation radius.
 
 Run:  python examples/certification_campaign.py
 """
@@ -15,15 +15,14 @@ Run:  python examples/certification_campaign.py
 import numpy as np
 
 import repro
-from repro.engine import NO_DESTABILIZING_MARGIN, fault_margin, mode_gains
+from repro.engine import mode_gains
 from repro.exact import RationalMatrix, solve_vector, to_fraction
 from repro.robust import (
     EpsilonInputs,
-    StabilityCertificate,
-    certify_mode,
     epsilon_radius,
     monte_carlo_epsilon_check,
     surface_geometry,
+    synthesize_robust_level,
 )
 from repro.service import CertificationService
 from repro.systems import closed_loop_matrices
@@ -53,31 +52,13 @@ def main() -> None:
     p_exact = RationalMatrix.from_numpy(lyap.p).symmetrize() \
         .round_sigfigs(10).symmetrize()
 
-    # 2. Certificate round trip.
-    certificate = certify_mode(
-        flow, halfspace, p_exact,
-        provenance={"case": case.name, "method": lyap.method},
-    )
-    restored = StabilityCertificate.from_json(certificate.to_json())
-    assert restored.verify()
-    print(f"[2] certificate: k = {float(certificate.k):.4g}, "
-          f"JSON round-trip re-verified")
+    # 2. Exact robust level of the proved Lyapunov function.
+    region = synthesize_robust_level(flow, halfspace, p_exact)
+    assert region.bounded
+    print(f"[2] robust level: k = {region.k_float():.4g} "
+          f"(exact optimum, {region.case})")
 
-    # 3. Failure injection.
-    print("[3] fault margins (severity in [0, 1] keeping both modes stable):")
-    for kind, channel, label in (
-        ("actuator-effectiveness", 0, "fuel actuator"),
-        ("actuator-effectiveness", 1, "nozzle actuator"),
-        ("sensor-gain", 0, "LPC speed sensor"),
-        ("sensor-gain", 3, "HPC speed sensor"),
-    ):
-        margin = fault_margin(case.plant, kind, channel)
-        if margin == NO_DESTABILIZING_MARGIN:
-            print(f"      {label:22s} cannot destabilize the loop")
-        else:
-            print(f"      {label:22s} tolerates {margin:5.1%} degradation")
-
-    # 4. Monte Carlo epsilon validation.
+    # 3. Monte Carlo epsilon validation.
     w_eq = solve_vector(
         RationalMatrix.from_numpy(flow.a),
         [-to_fraction(v) for v in flow.b.tolist()],
@@ -86,7 +67,7 @@ def main() -> None:
     epsilon = epsilon_radius(
         EpsilonInputs(
             flow_a=flow.a, b_cl=b_cl, p=lyap.p,
-            k=float(certificate.k),
+            k=region.k_float(),
             w_eq=np.array([float(v) for v in w_eq]),
             geometry=surface_geometry(halfspace, flow),
         )
@@ -96,10 +77,10 @@ def main() -> None:
         trials=5, t_final=25.0, seed=2,
     )
     assert mc.all_switch_free and mc.all_converged, mc.failures
-    print(f"[4] Monte Carlo: {mc.trials} perturbed references within "
+    print(f"[3] Monte Carlo: {mc.trials} perturbed references within "
           f"epsilon = {epsilon:.3g}: 0 switches, all converged")
 
-    print("\n==> all four evidence sources agree; campaign complete.")
+    print("\n==> all three evidence sources agree; campaign complete.")
 
 
 if __name__ == "__main__":

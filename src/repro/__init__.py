@@ -2,7 +2,7 @@
 
 A from-scratch reproduction of Battista et al., *SMT-Based Stability
 Verification of an Industrial Switched PI Control System* (DSN-W 2023):
-exact rational linear algebra, a mini SMT layer (ICP + Fourier–Motzkin),
+exact rational linear algebra, a mini SMT layer (ICP, Farkas checks),
 hand-written LMI/SDP solvers, balanced-truncation model reduction, a
 synthetic 18-state turbofan case study with the paper's exact switched
 PI gains, Lyapunov synthesis/validation pipelines, and robust-region
@@ -43,8 +43,6 @@ from .lyapunov import (
 )
 from .reduction import balanced_truncation
 from .robust import (
-    StabilityCertificate,
-    certify_mode,
     epsilon_radius,
     monte_carlo_epsilon_check,
     synthesize_robust_level,
@@ -95,7 +93,5 @@ __all__ = [
     "synthesize_robust_level",
     "truncated_ellipsoid_volume",
     "epsilon_radius",
-    "StabilityCertificate",
-    "certify_mode",
     "monte_carlo_epsilon_check",
 ]

@@ -8,14 +8,6 @@ of Section VI-A.
 """
 
 from .benchmarks import MODES, BenchmarkCase, benchmark_suite, case_by_name
-from .faults import (
-    NO_DESTABILIZING_MARGIN,
-    Fault,
-    apply_fault,
-    bias_shifts_equilibrium,
-    fault_margin,
-    stability_under_fault,
-)
 from .gains import KI_0, KI_1, KP_0, KP_1, THETA, mode_gains, paper_controller
 from .model import INPUT_NAMES, OUTPUT_NAMES, STATE_NAMES, build_engine_plant
 from .references import (
@@ -49,10 +41,4 @@ __all__ = [
     "benchmark_suite",
     "case_by_name",
     "MODES",
-    "Fault",
-    "apply_fault",
-    "stability_under_fault",
-    "fault_margin",
-    "NO_DESTABILIZING_MARGIN",
-    "bias_shifts_equilibrium",
 ]

@@ -22,9 +22,6 @@ from .kernels import (
 from .definiteness import (
     definiteness_counterexample,
     gauss_positive_definite,
-    is_negative_definite,
-    is_negative_semidefinite,
-    is_positive_semidefinite,
     ldl_positive_definite,
     sylvester_positive_definite,
 )
@@ -36,7 +33,6 @@ from .factor import (
     iter_leading_principal_minors,
     ldl,
     leading_principal_minors,
-    rank,
     solve,
     solve_vector,
 )
@@ -44,10 +40,8 @@ from .matrix import RationalMatrix
 from .poly import charpoly, is_hurwitz_matrix, is_hurwitz_polynomial, poly_eval, routh_table
 from .rational import (
     Number,
-    decimal_exponent,
     fraction_to_float,
     round_sigfigs,
-    round_to_int,
     to_fraction,
 )
 
@@ -63,9 +57,7 @@ __all__ = [
     "resolve_backend",
     "Number",
     "to_fraction",
-    "decimal_exponent",
     "round_sigfigs",
-    "round_to_int",
     "fraction_to_float",
     "bareiss_determinant",
     "determinant",
@@ -75,7 +67,6 @@ __all__ = [
     "solve",
     "solve_vector",
     "inverse",
-    "rank",
     "ldl",
     "charpoly",
     "poly_eval",
@@ -85,8 +76,5 @@ __all__ = [
     "sylvester_positive_definite",
     "gauss_positive_definite",
     "ldl_positive_definite",
-    "is_positive_semidefinite",
-    "is_negative_definite",
-    "is_negative_semidefinite",
     "definiteness_counterexample",
 ]

@@ -13,9 +13,6 @@ validator families compared in the paper's Figure 3:
   diagonal pivots.
 * :func:`ldl_positive_definite` — LDL^T pivots (an ablation variant).
 
-Semidefinite variants support the "+ det" encoding: ``M ≻ 0`` iff
-``M ⪰ 0 ∧ det(M) ≠ 0``.
-
 Every check accepts ``backend="auto"|"fraction"|"int"|"modular"``
 (:mod:`repro.exact.kernels`): the fast paths clear denominators once
 and decide the verdict from *integer* signs directly — the denominator
@@ -37,9 +34,6 @@ __all__ = [
     "sylvester_positive_definite",
     "gauss_positive_definite",
     "ldl_positive_definite",
-    "is_positive_semidefinite",
-    "is_negative_definite",
-    "is_negative_semidefinite",
     "definiteness_counterexample",
 ]
 
@@ -132,45 +126,6 @@ def ldl_positive_definite(
         return False
     _lower, diag = factorization
     return all(d > 0 for d in diag)
-
-
-def is_positive_semidefinite(
-    matrix: RationalMatrix, backend: str = "auto"
-) -> bool:
-    """Exact PSD test: every *principal* minor is nonnegative.
-
-    Implemented as the standard perturbation argument instead of the
-    exponential all-principal-minors test: ``M ⪰ 0`` iff
-    ``M + t I ≻ 0`` for all ``t > 0``; with exact arithmetic it is
-    enough to check that the characteristic polynomial of ``-M`` has no
-    positive root, which we decide via the sign structure of
-    ``det(M + t I)`` — equivalently, all coefficients of
-    ``det(tI + M)`` (a polynomial in ``t`` with rational coefficients)
-    are nonnegative iff no eigenvalue of ``M`` is negative *given M is
-    symmetric* (all eigenvalues real, so the polynomial has only real
-    roots and Descartes' rule is exact).
-    """
-    _require_symmetric(matrix)
-    from .poly import charpoly
-
-    # charpoly(-M) = det(sI + M); symmetric M has only real eigenvalues,
-    # which appear as roots s = -lambda. M >= 0 iff no root is positive,
-    # and for a polynomial with all-real roots that holds iff the
-    # coefficients (monic, highest first) have no sign change.
-    coeffs = charpoly(matrix.scale(-1), backend=backend)
-    return all(c >= 0 for c in coeffs)
-
-
-def is_negative_definite(
-    matrix: RationalMatrix, backend: str = "auto"
-) -> bool:
-    return sylvester_positive_definite(matrix.scale(-1), backend=backend)
-
-
-def is_negative_semidefinite(
-    matrix: RationalMatrix, backend: str = "auto"
-) -> bool:
-    return is_positive_semidefinite(matrix.scale(-1), backend=backend)
 
 
 def definiteness_counterexample(matrix: RationalMatrix) -> list[Fraction] | None:

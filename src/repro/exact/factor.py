@@ -2,7 +2,7 @@
 
 Provides the determinant (Bareiss fraction-free algorithm), all leading
 principal minors in a single fraction-free pass, exact Gaussian
-elimination with partial pivoting (solve / inverse / rank),
+elimination with partial pivoting (solve / inverse),
 fraction-free elimination pivots (the SymPy-style definiteness check),
 and an LDL^T factorization for symmetric matrices.
 
@@ -35,7 +35,6 @@ __all__ = [
     "gauss_pivots",
     "solve",
     "inverse",
-    "rank",
     "ldl",
 ]
 
@@ -290,17 +289,6 @@ def solve_vector(
 def inverse(matrix: RationalMatrix, backend: str = "auto") -> RationalMatrix:
     """Exact inverse via augmented elimination."""
     return solve(matrix, RationalMatrix.identity(matrix.rows), backend=backend)
-
-
-def rank(matrix: RationalMatrix, backend: str = "auto") -> int:
-    """Rank over the rationals (fraction-free integer echelon by default)."""
-    mode = kernels.resolve_backend(backend, matrix.rows, op="rank")
-    if mode != "fraction":
-        rows, _den = kernels.normalized(matrix)
-        return kernels.int_rank(rows)
-    aug = [matrix.row(i) for i in range(matrix.rows)]
-    rank_, _ = _eliminate(aug, matrix.rows, matrix.cols)
-    return rank_
 
 
 def ldl(

@@ -14,10 +14,10 @@ module is the fast path under :mod:`repro.exact.factor` /
   LRU keyed by the (immutable) matrix, so the checks that read one
   matrix several times clear its denominators once.
 * **Integer Bareiss** kernels (:func:`int_bareiss_determinant`,
-  :func:`iter_int_leading_principal_minors`, :func:`int_solve_columns`,
-  :func:`int_rank`) run fraction-free elimination over machine/big
-  Python ``int``s: every division in the Bareiss recurrence is exact,
-  so there is no rational normalization anywhere in the loop.
+  :func:`iter_int_leading_principal_minors`, :func:`int_solve_columns`)
+  run fraction-free elimination over machine/big Python ``int``s:
+  every division in the Bareiss recurrence is exact, so there is no
+  rational normalization anywhere in the loop.
 * **Multimodular** kernels (:func:`modular_determinant`,
   :func:`modular_leading_principal_minors`) eliminate over ``Z/p`` and
   CRT-reconstruct the integer result, *certified* against the Hadamard
@@ -57,12 +57,9 @@ from collections import OrderedDict
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .matrix import RationalMatrix, int_matmul
+import numpy as _np
 
-try:  # only the batched modular kernels want NumPy; degrade to scalar
-    import numpy as _np
-except ImportError:  # pragma: no cover - NumPy is a hard dependency here
-    _np = None
+from .matrix import RationalMatrix, int_matmul
 
 __all__ = [
     "KERNEL_BACKENDS",
@@ -76,7 +73,6 @@ __all__ = [
     "hadamard_bound",
     "int_bareiss_determinant",
     "iter_int_leading_principal_minors",
-    "int_rank",
     "int_solve_columns",
     "int_ldlt",
     "int_charpoly",
@@ -269,45 +265,6 @@ def iter_int_leading_principal_minors(
                 for j in range(i + 1, n):
                     row_i[j] = m[j][i]
         prev = pivot
-
-
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank by fraction-free row echelon (row swaps + column skips).
-
-    Fraction-free elimination stays exact under arbitrary pivot
-    selection (the entries remain minors of row/column subsets); the
-    exactness of each division is asserted, with a defensive remainder
-    check that can never fire for integer input.
-    """
-    if not rows:
-        return 0
-    m = [list(row) for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    prev = 1
-    pivot_row = 0
-    for col in range(n_cols):
-        if pivot_row >= n_rows:
-            break
-        best = next(
-            (i for i in range(pivot_row, n_rows) if m[i][col]), None
-        )
-        if best is None:
-            continue
-        if best != pivot_row:
-            m[pivot_row], m[best] = m[best], m[pivot_row]
-        pivot = m[pivot_row][col]
-        for i in range(pivot_row + 1, n_rows):
-            row_i = m[i]
-            m_ic = row_i[col]
-            for j in range(col, n_cols):
-                value = row_i[j] * pivot - m_ic * m[pivot_row][j]
-                quotient, remainder = divmod(value, prev)
-                if remainder:  # pragma: no cover - mathematically impossible
-                    raise ArithmeticError("inexact fraction-free division")
-                row_i[j] = quotient
-        prev = pivot
-        pivot_row += 1
-    return pivot_row
 
 
 def _bareiss_forward(aug: list[list], n: int, width: int) -> None:
@@ -749,9 +706,7 @@ def _symmetric_lift(residue: int, modulus: int) -> int:
 
 def _use_batch(rows, primes) -> bool:
     """Whether the vectorized 31-bit batch should serve this request."""
-    return (
-        primes is None and _np is not None and len(rows) >= _BATCH_MIN_N
-    )
+    return primes is None and len(rows) >= _BATCH_MIN_N
 
 
 def _prime_estimate(target: int) -> int:

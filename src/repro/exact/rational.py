@@ -22,9 +22,7 @@ Number = Union[int, float, str, Fraction]
 __all__ = [
     "Number",
     "to_fraction",
-    "decimal_exponent",
     "round_sigfigs",
-    "round_to_int",
     "fraction_to_float",
 ]
 
@@ -86,16 +84,6 @@ def _truncate(num: int, den: int, sigfigs: int) -> tuple[int, int, int, int]:
             return digits, remainder, unit, shift
 
 
-def decimal_exponent(q: Fraction) -> int:
-    """Return ``e`` such that ``10**e <= |q| < 10**(e+1)``.
-
-    Exact integer computation (no logarithms); ``q`` must be nonzero.
-    """
-    if q == 0:
-        raise ValueError("decimal_exponent of zero is undefined")
-    return -_truncate(abs(q.numerator), q.denominator, 1)[3]
-
-
 def round_sigfigs(q: Fraction, sigfigs: int) -> Fraction:
     """Round ``q`` to ``sigfigs`` significant decimal figures, exactly.
 
@@ -120,11 +108,6 @@ def round_sigfigs(q: Fraction, sigfigs: int) -> Fraction:
     if shift >= 0:
         return Fraction(digits, 10**shift)
     return Fraction(digits * 10**-shift)
-
-
-def round_to_int(q: Number) -> int:
-    """Round to the nearest integer (half-to-even), exactly."""
-    return round(to_fraction(q))
 
 
 def fraction_to_float(q: Fraction) -> float:

@@ -25,6 +25,9 @@ from .table1 import run_table1
 
 __all__ = ["DEFAULT_SIZE_CAPS", "run_figure3", "render_figure3"]
 
+#: Box budget of the ``icp``/``icp+det`` validators in this sweep.
+_ICP_MAX_BOXES = 150_000
+
 DEFAULT_SIZE_CAPS = {
     "sylvester": 18,
     "gauss": 18,
@@ -42,7 +45,6 @@ def run_figure3(
     ),
     size_caps: dict | None = None,
     sizes: tuple[int, ...] = (3, 5, 10, 15, 18),
-    icp_max_boxes: int = 150_000,
     fallback: bool = True,
     engine=None,
 ) -> list[Figure3Record]:
@@ -85,7 +87,7 @@ def run_figure3(
             if case.size > size_caps.get(validator, 18):
                 continue
             options = (
-                {"max_boxes": icp_max_boxes}
+                {"max_boxes": _ICP_MAX_BOXES}
                 if validator.startswith("icp")
                 else {}
             )

@@ -307,15 +307,6 @@ class PiecewiseCertificate:
         w_bar = [to_fraction(v) for v in point] + [Fraction(1)]
         return _augmented_value(p_bar, w_bar)
 
-    def lie_value(self, mode: int, flow, point) -> Fraction:
-        """Exact ``d/dt V_mode`` along ``flow`` at a rational point."""
-        p_bar = self.p0_bar if mode == 0 else self.p1_bar
-        d = len(self.w0)
-        a_bar = _augmented_flow_exact(flow, d)
-        lie = (a_bar.transpose() @ p_bar + p_bar @ a_bar).symmetrize()
-        w_bar = [to_fraction(v) for v in point] + [Fraction(1)]
-        return _augmented_value(lie, w_bar)
-
     def surface_defect(self) -> RationalMatrix:
         """``P̄_1 - P̄_0 - sym(ḡ q^T)`` — exactly zero iff continuity
         survived the snap (always, for the structured snap)."""

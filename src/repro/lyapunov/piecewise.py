@@ -103,7 +103,6 @@ def synthesize_piecewise(
     system: PwaSystem,
     encoding: str = "continuous",
     epsilon: float = 1e-3,
-    radius_scale: float = 100.0,
     max_iterations: int = 60_000,
     initial_radius: float = 50.0,
     tolerance: float = 1e-6,
@@ -235,8 +234,8 @@ def synthesize_piecewise(
             blocks.append(
                 LmiBlock(np.zeros((1, 1)), coeffs_1, name=f"{slot}[{k}]>=0")
             )
-    # (5) boundedness: R*J_c-scale cap on each P (keeps the search bounded).
-    cap = radius_scale * np.eye(da)
+    # (5) boundedness: P <= 100 I on each mode (keeps the search bounded).
+    cap = 100.0 * np.eye(da)
     for mode in (0, 1):
         coeffs = p_coefficients(mode, sign=-1.0)
         blocks.append(LmiBlock(cap, coeffs, name=f"cap{mode}"))

@@ -20,7 +20,7 @@ The package builds test oracles the rest of the library cannot fake:
 the parallel runner.
 """
 
-from .artifacts import load_failures, replay_spec, write_failure
+from .artifacts import replay_spec, write_failure
 from .cegis import (
     CEGIS_KINDS,
     CegisScenario,
@@ -65,6 +65,5 @@ __all__ = [
     "ShrinkResult",
     "shrink_failure",
     "write_failure",
-    "load_failures",
     "replay_spec",
 ]

@@ -24,7 +24,6 @@ from .records import FuzzRecord
 
 __all__ = [
     "write_failure",
-    "load_failures",
     "replay_spec",
 ]
 
@@ -74,18 +73,6 @@ def write_failure(
     path = directory / f"{_case_name(spec)}.npz"
     np.savez(path, **arrays)
     return path
-
-
-def load_failures(directory: str | Path) -> list[dict]:
-    """All recorded failure entries (empty list when none were written)."""
-    path = Path(directory) / "failures.jsonl"
-    if not path.exists():
-        return []
-    return [
-        json.loads(line)
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
 
 
 def replay_spec(

@@ -1,11 +1,7 @@
 """Balanced-truncation model reduction (the paper's scalability knob)."""
 
 from .balanced import BalancedRealization, balance, balanced_truncation
-from .gramians import (
-    controllability_gramian,
-    hankel_singular_values,
-    observability_gramian,
-)
+from .gramians import controllability_gramian, observability_gramian
 
 __all__ = [
     "BalancedRealization",
@@ -13,5 +9,4 @@ __all__ = [
     "balanced_truncation",
     "controllability_gramian",
     "observability_gramian",
-    "hankel_singular_values",
 ]

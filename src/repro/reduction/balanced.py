@@ -44,14 +44,14 @@ class BalancedRealization:
         return 2.0 * float(self.hankel_values[order:].sum())
 
 
-def balance(plant: StateSpace, regularization: float = 1e-12) -> BalancedRealization:
+def balance(plant: StateSpace) -> BalancedRealization:
     """Compute a balanced realization via the square-root method."""
     wc = controllability_gramian(plant)
     wo = observability_gramian(plant)
     n = plant.n_states
     # Cholesky with a tiny regularizer: Wc can be numerically singular
     # when some states are nearly uncontrollable.
-    r = np.linalg.cholesky(wc + regularization * np.eye(n))
+    r = np.linalg.cholesky(wc + 1e-12 * np.eye(n))
     u, s2, _vt = np.linalg.svd(r.T @ wo @ r)
     hankel = np.sqrt(np.maximum(s2, 1e-300))  # sigma_i
     sqrt_sigma = np.sqrt(hankel)

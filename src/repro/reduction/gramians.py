@@ -19,7 +19,6 @@ from ..systems import StateSpace
 __all__ = [
     "controllability_gramian",
     "observability_gramian",
-    "hankel_singular_values",
 ]
 
 
@@ -43,12 +42,3 @@ def observability_gramian(plant: StateSpace) -> np.ndarray:
     _require_stable(plant)
     wo = linalg.solve_continuous_lyapunov(plant.a.T, -plant.c.T @ plant.c)
     return 0.5 * (wo + wo.T)
-
-
-def hankel_singular_values(plant: StateSpace) -> np.ndarray:
-    """Hankel singular values, descending (sqrt of eig(Wc Wo))."""
-    wc = controllability_gramian(plant)
-    wo = observability_gramian(plant)
-    eigenvalues = np.linalg.eigvals(wc @ wo)
-    values = np.sqrt(np.maximum(eigenvalues.real, 0.0))
-    return np.sort(values)[::-1]

@@ -1,6 +1,5 @@
 """Robustness-to-perturbation analysis (paper Section VI-C, Table II)."""
 
-from .certificates import StabilityCertificate, certify_mode
 from .epsilon import EpsilonInputs, epsilon_radius
 from .montecarlo import MonteCarloReport, monte_carlo_epsilon_check
 from .regions import RobustRegion, check_level_robust_smt, synthesize_robust_level
@@ -26,8 +25,6 @@ __all__ = [
     "log10_truncated_ellipsoid_volume",
     "EpsilonInputs",
     "epsilon_radius",
-    "StabilityCertificate",
-    "certify_mode",
     "MonteCarloReport",
     "monte_carlo_epsilon_check",
 ]

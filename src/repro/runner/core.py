@@ -279,25 +279,10 @@ class TimingCollector:
 def resolve_jobs(jobs: int | None) -> int:
     """``None`` means every *available* CPU; below 1 is clamped to 1.
 
-    Precedence: an explicit ``jobs`` argument (the ``--jobs`` CLI flag)
-    wins; with ``jobs=None`` a ``REPRO_JOBS`` environment variable, if
-    set to a parseable integer, sizes the pool instead (malformed
-    values are ignored); otherwise every available CPU is used. The
-    env override lets the service layer and the experiment drivers
-    size their pools consistently without plumbing a flag through
-    every entry point.
-
     Prefers ``os.sched_getaffinity`` over ``os.cpu_count`` so a
     container or cgroup that pins the process to a CPU subset (typical
     CI) gets a pool sized to what it may actually use, not to the host.
     """
-    if jobs is None:
-        env = os.environ.get("REPRO_JOBS")
-        if env is not None:
-            try:
-                jobs = int(env)
-            except ValueError:
-                jobs = None
     if jobs is None:
         try:
             jobs = len(os.sched_getaffinity(0))

@@ -81,18 +81,16 @@ def solve_lmi_barrier(
     target_margin: float = 0.0,
     radius: float = 1e3,
     pull: float = 0.5,
-    stall_tol: float = 1e-9,
     max_outer: int = 200,
-    max_newton: int = 30,
-    newton_tol: float = 1e-10,
     initial: np.ndarray | None = None,
 ) -> BarrierResult:
     """Maximize the joint LMI margin of ``system`` within ``|x_i| <= radius``.
 
     ``pull`` in (0, 1) sets how aggressively the shift chases the
-    incumbent margin each round; the loop stops at ``target_margin``,
-    on stall, or after ``max_outer`` rounds. ``initial`` warm-starts the
-    centering from an external iterate (clipped into the box).
+    incumbent margin each round of at most 30 Newton steps; the loop
+    stops at ``target_margin``, when a round raises the shift by less
+    than 1e-9, or after ``max_outer`` rounds. ``initial`` warm-starts
+    the centering from an external iterate (clipped into the box).
     """
     if not 0 < pull < 1:
         raise ValueError("pull must be in (0, 1)")
@@ -135,7 +133,7 @@ def solve_lmi_barrier(
     iterations = 0
     for _outer in range(max_outer):
         # --- Newton-center phi_t over x --------------------------------
-        for _ in range(max_newton):
+        for _ in range(30):
             iterations += 1
             gradient = np.zeros(dimension)
             hessian = np.zeros((dimension, dimension))
@@ -162,7 +160,7 @@ def solve_lmi_barrier(
                 )
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(hessian, -gradient, rcond=None)[0]
-            if float(-(gradient @ step)) < newton_tol:
+            if float(-(gradient @ step)) < 1e-10:
                 break
             phi_now = centered_potential(x, t)
             alpha = 1.0
@@ -184,7 +182,7 @@ def solve_lmi_barrier(
         if best_margin > target_margin:
             break
         new_t = margin - (1.0 - pull) * (margin - t)
-        if new_t - t < stall_tol:
+        if new_t - t < 1e-9:
             break
         t = new_t
     return BarrierResult(

@@ -28,6 +28,8 @@ from .problems import LmiInfeasibleError, LyapunovLmiProblem
 
 __all__ = ["solve_proj"]
 
+_MAX_SWEEPS = 500
+
 
 def _clamp_floor(matrix: np.ndarray, floor: float) -> np.ndarray:
     """Frobenius projection onto ``{X : X ⪰ floor I}``."""
@@ -42,18 +44,16 @@ def _clamp_ceiling(matrix: np.ndarray, ceiling: float) -> np.ndarray:
     return (vectors * clamped) @ vectors.T
 
 
-def solve_proj(
-    problem: LyapunovLmiProblem,
-    max_sweeps: int = 500,
-) -> tuple[np.ndarray, dict]:
-    """Alternate spectral clamps until both LMI blocks are feasible."""
+def solve_proj(problem: LyapunovLmiProblem) -> tuple[np.ndarray, dict]:
+    """Alternate spectral clamps until both LMI blocks are feasible
+    (at most ``_MAX_SWEEPS`` sweeps)."""
     a_s = problem.shifted_a
     if float(np.linalg.eigvals(a_s).real.max()) >= 0:
         raise LmiInfeasibleError("A + (alpha/2)I is not Hurwitz")
     n = problem.n
     p = np.eye(n)
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         # C2 quasi-projection: clamp the Lyapunov image, pull back.
         image = a_s.T @ p + p @ a_s
         clamped = _clamp_ceiling(image, -2.0 * problem.margin)
@@ -65,7 +65,7 @@ def solve_proj(
             break
     else:
         raise LmiInfeasibleError(
-            f"alternating projections did not converge in {max_sweeps} sweeps "
+            f"alternating projections did not converge in {_MAX_SWEEPS} sweeps "
             f"(residual {problem.residual(p):.3g})"
         )
     info = {"backend": "proj", "iterations": sweeps, "residual": problem.residual(p)}

@@ -26,7 +26,6 @@ from .api import (
     CertificationService,
     CertifyBatchTask,
     CertifyTask,
-    certify,
 )
 from .engine import CampaignEngine
 from .store import CertificateStore
@@ -36,7 +35,6 @@ __all__ = [
     "CertificationService",
     "CertifyTask",
     "CertifyBatchTask",
-    "certify",
     "CertificateStore",
     "CampaignEngine",
 ]

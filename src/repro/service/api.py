@@ -52,7 +52,6 @@ __all__ = [
     "CertifyTask",
     "CertifyBatchTask",
     "CertificationService",
-    "certify",
 ]
 
 
@@ -494,9 +493,3 @@ class CertificationService:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-def certify(a, **kwargs) -> Certificate:
-    """One-shot convenience: certify ``a`` with a throwaway service."""
-    with CertificationService() as service:
-        return service.certify(a, **kwargs)

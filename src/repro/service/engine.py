@@ -26,8 +26,8 @@ class CampaignEngine:
     """Shared execution context for task campaigns.
 
     Parameters mirror :func:`repro.runner.run_tasks`: ``jobs`` sizes
-    the worker pool (``None`` = all available CPUs, honouring the
-    ``REPRO_JOBS`` env override; ``1`` = in-process), ``task_deadline``
+    the worker pool (``None`` = all available CPUs; ``1`` =
+    in-process), ``task_deadline``
     is the per-task wall-clock kill (pooled mode only), ``timing`` an
     optional :class:`repro.runner.TimingCollector`, ``journal`` a
     :class:`repro.runner.Journal` for crash-safe resume, ``retry`` a

@@ -3,9 +3,9 @@
 Built from scratch for this reproduction (the paper used Z3, CVC5 and
 Mathematica, which are unavailable offline): a term/atom AST, sound
 floating-point interval arithmetic, an ICP branch-and-prune refuter
-(delta-complete, dReal-style), exact Fourier--Motzkin linear
-feasibility with Farkas certificates, and the definiteness encodings
-used to validate Lyapunov candidates.
+(delta-complete, dReal-style), an exact checker of Farkas certificates
+for infeasible affine constraint systems, and the definiteness
+encodings used to validate Lyapunov candidates.
 """
 
 from .boxes import BoxArray, classify_boxes
@@ -21,7 +21,7 @@ from .icp import (
     split_linear,
 )
 from .interval import Interval
-from .linear import LinearConstraint, LinearResult, solve_linear
+from .linear import LinearConstraint, check_farkas_certificate
 from .terms import (
     Add,
     Atom,
@@ -32,10 +32,7 @@ from .terms import (
     Term,
     Var,
     affine_term,
-    poly_degree,
     poly_eval,
-    poly_free_vars,
-    poly_is_linear,
     polynomial_of,
     quadratic_form_term,
 )
@@ -51,10 +48,7 @@ __all__ = [
     "Atom",
     "Relation",
     "polynomial_of",
-    "poly_degree",
-    "poly_is_linear",
     "poly_eval",
-    "poly_free_vars",
     "quadratic_form_term",
     "affine_term",
     "Interval",
@@ -69,8 +63,7 @@ __all__ = [
     "resolve_icp_backend",
     "split_linear",
     "LinearConstraint",
-    "LinearResult",
-    "solve_linear",
+    "check_farkas_certificate",
     "SphereCheckOutcome",
     "check_positive_definite_icp",
     "witness_point",

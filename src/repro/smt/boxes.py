@@ -41,7 +41,7 @@ on delta-sat instances). Instead the engine keeps a worklist of pending
 boxes keyed by their *path* from the root (``'0'`` = low child, ``'1'``
 = high child). Lexicographic path order is exactly DFS preorder, and
 children of the chunk prepend in order, so the worklist stays sorted
-for free. Each round classifies the ``chunk`` lex-least boxes in one
+for free. Each round classifies the ``_CHUNK`` lex-least boxes in one
 vectorized pass; terminals (SAT / DELTA_SAT) are tracked by lex-min
 path and the worklist is pruned behind the best terminal. At the end
 the engine returns the lex-least terminal — the one the scalar DFS
@@ -623,7 +623,6 @@ def batched_check(
     solver: IcpSolver,
     prepared: list[PreparedAtom],
     box: Box,
-    chunk: int = _CHUNK,
 ) -> IcpResult:
     """Decide a prepared conjunction with the batched frontier engine.
 
@@ -656,7 +655,7 @@ def batched_check(
             paths = paths[:cut]
             pend_lo = pend_lo[:cut]
             pend_hi = pend_hi[:cut]
-        take = min(chunk, len(paths))
+        take = min(_CHUNK, len(paths))
         chunk_paths = paths[:take]
         chunk_lo = pend_lo[:take].copy()
         chunk_hi = pend_hi[:take].copy()

@@ -25,7 +25,7 @@ Two engines share this front door (``IcpSolver.backend``):
     reproducing the scalar engine's arithmetic bit for bit (see that
     module's docstring for the equivalence argument);
 ``"auto"``
-    ``"batched"`` when NumPy imports, ``"scalar"`` otherwise.
+    ``"batched"``.
 """
 
 from __future__ import annotations
@@ -54,23 +54,12 @@ ICP_BACKENDS = ("auto", "scalar", "batched")
 
 
 def resolve_icp_backend(backend: str) -> str:
-    """Resolve ``"auto"`` to a concrete ICP engine.
-
-    ``"auto"`` picks the batched engine whenever NumPy is importable and
-    degrades silently to the scalar loop otherwise — mirroring the
-    kernel-backend convention in :mod:`repro.exact.kernels`.
-    """
+    """Resolve ``"auto"`` to a concrete ICP engine: always ``"batched"``."""
     if backend not in ICP_BACKENDS:
         raise KeyError(
             f"unknown ICP backend {backend!r}; known: {ICP_BACKENDS}"
         )
-    if backend != "auto":
-        return backend
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - NumPy is a hard dep here
-        return "scalar"
-    return "batched"
+    return "batched" if backend == "auto" else backend
 
 
 class Box:

@@ -6,7 +6,7 @@ of the switching surface?" — are expressed as conjunctions of
 polynomial atoms over the reals. This module provides the term AST,
 atoms, exact evaluation, and normalization of terms into sparse
 polynomials (monomial dictionaries), which is the form the decision
-procedures in :mod:`repro.smt.icp` and :mod:`repro.smt.linear` consume.
+procedures in :mod:`repro.smt.icp` consume.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ __all__ = [
     "Polynomial",
     "Monomial",
     "polynomial_of",
-    "poly_degree",
-    "poly_is_linear",
     "poly_eval",
-    "poly_free_vars",
     "quadratic_form_term",
     "affine_term",
 ]
@@ -249,20 +246,6 @@ def polynomial_of(term: Term) -> Polynomial:
             out = _poly_mul(out, base)
         return out
     raise TypeError(f"not a term: {term!r}")
-
-
-def poly_degree(poly: Polynomial) -> int:
-    if not poly:
-        return 0
-    return max(sum(e for _, e in mono) for mono in poly)
-
-
-def poly_is_linear(poly: Polynomial) -> bool:
-    return poly_degree(poly) <= 1
-
-
-def poly_free_vars(poly: Polynomial) -> set[str]:
-    return {var for mono in poly for var, _ in mono}
 
 
 def poly_eval(poly: Polynomial, assignment: Mapping[str, Number]) -> Fraction:

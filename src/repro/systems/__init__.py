@@ -6,20 +6,13 @@ from .closedloop import (
     fixed_mode_closed_loop,
     lift_guard,
 )
-from .frequency import (
-    LoopMargins,
-    frequency_response,
-    loop_margins,
-    sigma_max_response,
-    transfer_function,
-)
+from .frequency import LoopMargins, loop_margins, transfer_function
 from .pi import OutputGuard, PIGains, SwitchedPIController
 from .pwa import PwaMode, PwaSystem
 from .regions import HalfSpace, PolyhedralRegion
 from .simulate import (
     Trajectory,
     rk45_step,
-    settling_time,
     simulate_affine,
     simulate_pwa,
 )
@@ -43,10 +36,7 @@ __all__ = [
     "rk45_step",
     "simulate_affine",
     "simulate_pwa",
-    "settling_time",
     "transfer_function",
-    "frequency_response",
-    "sigma_max_response",
     "LoopMargins",
     "loop_margins",
 ]

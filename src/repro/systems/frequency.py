@@ -1,7 +1,7 @@
 """Frequency-domain analysis of linear systems.
 
-Transfer-function evaluation ``G(s) = C (sI - A)^{-1} B``, Bode data,
-and classical gain/phase margins per SISO loop. Used to document and
+Transfer-function evaluation ``G(s) = C (sI - A)^{-1} B`` and
+classical gain/phase margins per SISO loop. Used to document and
 sanity-check the engine design (each PI loop's phase margin) and by the
 tests that pin the balanced-truncation H-infinity error bound.
 """
@@ -16,8 +16,6 @@ from .statespace import StateSpace
 
 __all__ = [
     "transfer_function",
-    "frequency_response",
-    "sigma_max_response",
     "LoopMargins",
     "loop_margins",
 ]
@@ -30,21 +28,6 @@ def transfer_function(plant: StateSpace, s: complex) -> np.ndarray:
         s * np.eye(n) - plant.a, plant.b.astype(complex)
     )
     return plant.c @ resolvent
-
-
-def frequency_response(
-    plant: StateSpace, omegas: np.ndarray
-) -> np.ndarray:
-    """``G(j omega)`` for an array of frequencies; shape (len, p, m)."""
-    return np.array(
-        [transfer_function(plant, 1j * float(w)) for w in omegas]
-    )
-
-
-def sigma_max_response(plant: StateSpace, omegas: np.ndarray) -> np.ndarray:
-    """Largest singular value of ``G(j omega)`` per frequency."""
-    response = frequency_response(plant, omegas)
-    return np.array([np.linalg.svd(g, compute_uv=False)[0] for g in response])
 
 
 @dataclass(frozen=True)

@@ -86,21 +86,3 @@ class PwaSystem:
         """Per-mode equilibrium points."""
         return [mode.equilibrium() for mode in self.modes]
 
-    def check_cover(
-        self, points: np.ndarray | None = None, seed: int = 0, samples: int = 512
-    ) -> bool:
-        """Sample-based sanity check that the regions cover the space.
-
-        Not a proof (the exact cover check for the two-mode case-study
-        regions is trivial because they are complementary half-spaces);
-        used as a guard in tests and examples.
-        """
-        if points is None:
-            rng = np.random.default_rng(seed)
-            points = rng.normal(scale=100.0, size=(samples, self.dimension))
-        for point in points:
-            try:
-                self.mode_of(point)
-            except ValueError:
-                return False
-        return True

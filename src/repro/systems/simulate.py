@@ -20,7 +20,7 @@ import numpy as np
 from .pwa import PwaSystem
 from .statespace import AffineSystem
 
-__all__ = ["Trajectory", "rk45_step", "simulate_affine", "simulate_pwa", "settling_time"]
+__all__ = ["Trajectory", "rk45_step", "simulate_affine", "simulate_pwa"]
 
 # Dormand–Prince (RK45) Butcher tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -79,17 +79,6 @@ class Trajectory:
     @property
     def n_switches(self) -> int:
         return len(self.switch_times)
-
-    def state_at(self, t: float) -> np.ndarray:
-        """Linear interpolation between stored samples."""
-        index = int(np.searchsorted(self.times, t))
-        if index <= 0:
-            return self.states[0]
-        if index >= len(self.times):
-            return self.states[-1]
-        t0, t1 = self.times[index - 1], self.times[index]
-        frac = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return (1 - frac) * self.states[index - 1] + frac * self.states[index]
 
 
 def _adaptive_steps(
@@ -228,20 +217,3 @@ def simulate_pwa(
         switch_times,
         completed,
     )
-
-
-def settling_time(
-    trajectory: Trajectory, target: np.ndarray, tolerance: float
-) -> float | None:
-    """First time after which the state stays within ``tolerance`` of
-    ``target``; ``None`` if it never settles."""
-    target = np.asarray(target, dtype=float)
-    distances = np.linalg.norm(trajectory.states - target, axis=1)
-    inside = distances <= tolerance
-    if not inside[-1]:
-        return None
-    # Walk backwards to the first index of the final inside-streak.
-    index = len(inside) - 1
-    while index > 0 and inside[index - 1]:
-        index -= 1
-    return float(trajectory.times[index])

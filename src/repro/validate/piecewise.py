@@ -45,6 +45,10 @@ from ..systems import PwaSystem
 
 __all__ = ["PiecewiseValidation", "validate_piecewise"]
 
+#: Conditions (1) and (2) are checked outside this ball around the
+#: mode-0 equilibrium, where ``V`` and ``dV/dt`` vanish.
+_EXCLUSION_RADIUS = 1e-2
+
 
 @dataclass
 class PiecewiseValidation:
@@ -111,7 +115,6 @@ def validate_piecewise(
     system: PwaSystem,
     sigfigs: int | None = 10,
     box_radius: float | None = None,
-    exclusion_radius: float = 1e-2,
     max_boxes: int = 6_000,
     delta: float = 1e-6,
     conditions_scope: str = "all",
@@ -147,7 +150,7 @@ def validate_piecewise(
         a_bar_exact.append(top.vstack(bottom))
 
     away = Atom(
-        Const(Fraction(float(exclusion_radius**2)))
+        Const(Fraction(_EXCLUSION_RADIUS**2))
         - _distance_sq_term(w_star, variables),
         Relation.LE,
     )

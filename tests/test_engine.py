@@ -194,3 +194,21 @@ class TestBenchmarkSuite:
             assert case.plant.n_states == case.size
             assert case.plant.n_inputs == 3
             assert case.plant.n_outputs == 4
+
+
+class TestFactSheet:
+    def test_main_prints_the_case_study(self, capsys):
+        from repro.engine.__main__ import main
+
+        assert main() == 0
+        out = capsys.readouterr().out
+        assert "states:  18   inputs: 3   outputs: 4" in out
+        loops = [line for line in out.splitlines() if " PM = " in line]
+        assert len(loops) == 3
+        assert all(" GM = " in line for line in loops)
+        ladder = [line for line in out.splitlines() if " dim " in line]
+        assert len(ladder) == 8
+        assert all(
+            line.endswith("closed loop stable in both modes")
+            for line in ladder
+        )

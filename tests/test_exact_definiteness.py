@@ -11,9 +11,6 @@ from repro.exact import (
     RationalMatrix,
     definiteness_counterexample,
     gauss_positive_definite,
-    is_negative_definite,
-    is_negative_semidefinite,
-    is_positive_semidefinite,
     ldl_positive_definite,
     sylvester_positive_definite,
 )
@@ -108,38 +105,6 @@ class TestPositiveDefinite:
             for k in range(1, m.rows + 1)
         )
         assert sylvester_positive_definite(m) == reference
-
-
-class TestSemidefiniteAndNegative:
-    def test_psd_but_not_pd(self):
-        m = RationalMatrix([[1, 1], [1, 1]])
-        assert is_positive_semidefinite(m)
-        assert not sylvester_positive_definite(m)
-
-    def test_psd_rejects_indefinite(self):
-        assert not is_positive_semidefinite(RationalMatrix([[1, 2], [2, 1]]))
-
-    def test_zero_matrix_is_psd(self):
-        assert is_positive_semidefinite(RationalMatrix.zeros(3, 3))
-
-    def test_negative_definite(self):
-        assert is_negative_definite(RationalMatrix([[-2, 1], [1, -2]]))
-        assert not is_negative_definite(RationalMatrix([[2, 1], [1, 2]]))
-
-    def test_negative_semidefinite(self):
-        assert is_negative_semidefinite(RationalMatrix([[-1, 1], [1, -1]]))
-        assert not is_negative_semidefinite(RationalMatrix([[1, 0], [0, -1]]))
-
-    @settings(max_examples=30)
-    @given(symmetric_matrices)
-    def test_pd_implies_psd(self, m):
-        if sylvester_positive_definite(m):
-            assert is_positive_semidefinite(m)
-
-    @settings(max_examples=30)
-    @given(symmetric_matrices)
-    def test_negation_duality(self, m):
-        assert is_negative_definite(m) == sylvester_positive_definite(m.scale(-1))
 
 
 class TestCounterexample:

@@ -16,7 +16,6 @@ from repro.exact import (
     iter_leading_principal_minors,
     ldl,
     leading_principal_minors,
-    rank,
     solve,
     solve_vector,
 )
@@ -158,20 +157,6 @@ class TestSolveInverse:
             return
         x = solve_vector(a, rhs)
         assert a.dot(x) == [Fraction(v) for v in rhs]
-
-
-class TestRank:
-    def test_full_rank(self):
-        assert rank(RationalMatrix.identity(3)) == 3
-
-    def test_deficient(self):
-        assert rank(RationalMatrix([[1, 2], [2, 4]])) == 1
-
-    def test_rectangular(self):
-        assert rank(RationalMatrix([[1, 0, 0], [0, 1, 0]])) == 2
-
-    def test_zero(self):
-        assert rank(RationalMatrix.zeros(2, 2)) == 0
 
 
 class TestGaussPivotsAndLDL:

@@ -27,7 +27,6 @@ from repro.exact import (
     ldl,
     ldl_positive_definite,
     leading_principal_minors,
-    rank,
     resolve_backend,
     solve,
     sylvester_positive_definite,
@@ -130,11 +129,6 @@ class TestIntegerKernels:
         assert list(
             kernels.iter_int_leading_principal_minors([[0, 1], [1, 0]])
         ) == [0, -1]
-
-    def test_rank(self):
-        assert kernels.int_rank([[1, 2], [2, 4]]) == 1
-        assert kernels.int_rank([[1, 0], [0, 1]]) == 2
-        assert kernels.int_rank([]) == 0
 
     def test_solve_singular_raises(self):
         with pytest.raises(ValueError):
@@ -261,11 +255,10 @@ class TestBackendAgreement:
                     == want_minors
                 )
 
-    def test_rank_solve_inverse(self):
+    def test_solve_inverse(self):
         m = self.CASES[0]
         rhs = frac_matrix([[1, 0], [3, -2]])
         for backend in BACKENDS:
-            assert rank(m, backend=backend) == 2
             assert (
                 solve(m, rhs, backend=backend).tolist()
                 == solve(m, rhs, backend="fraction").tolist()

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from repro.engine import case_by_name
 from repro.exact import (
     RationalMatrix,
-    decimal_exponent,
     fraction_to_float,
     round_sigfigs,
-    round_to_int,
     to_fraction,
 )
 from repro.lyapunov import synthesize
@@ -49,32 +47,6 @@ class TestToFraction:
             to_fraction(1 + 2j)
 
 
-class TestDecimalExponent:
-    @pytest.mark.parametrize(
-        "value, expected",
-        [
-            (Fraction(1), 0),
-            (Fraction(9), 0),
-            (Fraction(10), 1),
-            (Fraction(99, 10), 0),
-            (Fraction(1, 10), -1),
-            (Fraction(1, 1000), -3),
-            (Fraction(-12345), 4),
-        ],
-    )
-    def test_known_values(self, value, expected):
-        assert decimal_exponent(value) == expected
-
-    def test_zero_raises(self):
-        with pytest.raises(ValueError):
-            decimal_exponent(Fraction(0))
-
-    @given(nonzero_fractions)
-    def test_defining_property(self, q):
-        e = decimal_exponent(q)
-        assert Fraction(10) ** e <= abs(q) < Fraction(10) ** (e + 1)
-
-
 class TestRoundSigfigs:
     def test_exact_cases(self):
         assert round_sigfigs(Fraction(12345), 2) == Fraction(12000)
@@ -108,11 +80,6 @@ class TestRoundSigfigs:
 
 
 class TestSmallHelpers:
-    def test_round_to_int(self):
-        assert round_to_int(Fraction(5, 2)) == 2  # half-even
-        assert round_to_int(Fraction(7, 2)) == 4
-        assert round_to_int(2.3) == 2
-
     def test_fraction_to_float(self):
         assert fraction_to_float(Fraction(1, 4)) == 0.25
 
@@ -172,7 +139,6 @@ class TestRoundSigfigsOracle:
     @settings(max_examples=400, deadline=None)
     @given(wide_rationals(), sigfig_range)
     def test_wide_rationals(self, q, sigfigs):
-        assert decimal_exponent(q) == oracle_decimal_exponent(q)
         assert_same_rounding(q, sigfigs)
 
     @settings(max_examples=200, deadline=None)
@@ -211,7 +177,6 @@ class TestRoundSigfigsOracle:
                 ]
         for q in values:
             for sign in (1, -1):
-                assert decimal_exponent(sign * q) == oracle_decimal_exponent(q)
                 for sigfigs in range(1, 18):
                     assert_same_rounding(sign * q, sigfigs)
 
@@ -224,14 +189,9 @@ class TestRoundSigfigsOracle:
 
 
 class TestBigRationals:
-    """Both functions once counted digits with ``str()``, which CPython
-    3.11+ refuses beyond 4300 digits."""
+    """``round_sigfigs`` once counted digits with ``str()``, which
+    CPython 3.11+ refuses beyond 4300 digits."""
 
     def test_round_sigfigs_beyond_str_limit(self):
         q = Fraction(10**5000 + 1, 3)
         assert round_sigfigs(q, 4) == Fraction(3333 * 10**4996)
-
-    def test_decimal_exponent_beyond_str_limit(self):
-        assert decimal_exponent(Fraction(1, 10**5000 + 7)) == -5001
-        assert decimal_exponent(Fraction(10**5000)) == 5000
-        assert decimal_exponent(Fraction(10**5000 - 1)) == 4999

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.systems import (
-    StateSpace,
-    frequency_response,
-    loop_margins,
-    sigma_max_response,
-    transfer_function,
-)
+from repro.systems import StateSpace, loop_margins, transfer_function
 
 
 def first_order(a=2.0, k=3.0):
@@ -34,18 +28,6 @@ class TestTransferFunction:
         assert np.allclose(
             transfer_function(plant, 0.0).real, plant.dc_gain(), atol=1e-10
         )
-
-    def test_frequency_response_shape(self):
-        from repro.engine import build_engine_plant
-
-        plant = build_engine_plant()
-        response = frequency_response(plant, np.array([0.1, 1.0, 10.0]))
-        assert response.shape == (3, 4, 3)
-
-    def test_sigma_max_decreases_past_bandwidth(self):
-        plant = first_order()
-        sig = sigma_max_response(plant, np.array([0.01, 100.0]))
-        assert sig[0] > sig[1]
 
     def test_balanced_truncation_hinf_bound_sampled(self):
         """|G - G_r| at sampled frequencies obeys 2*sum(tail sigma)."""

@@ -15,14 +15,14 @@ import pytest
 import repro
 from repro.engine import case_by_name
 from repro.exact import RationalMatrix, is_hurwitz_matrix
-from repro.robust import certify_mode, synthesize_robust_level
+from repro.robust import synthesize_robust_level
 from repro.validate import validate_candidate
 
 
 class TestPipelineEndToEnd:
     def test_small_case_full_chain(self):
         """size3i: synthesis, validation, exact Hurwitz proof, robust
-        region, certificate — everything must agree."""
+        region — everything must agree."""
         case = case_by_name("size3i")
         system = case.switched_system(case.reference())
         for mode in (0, 1):
@@ -34,8 +34,10 @@ class TestPipelineEndToEnd:
             assert report.valid is True
             flow = system.modes[mode].flow
             halfspace = system.modes[mode].region.halfspaces[0]
-            certificate = certify_mode(flow, halfspace, candidate.exact_p(10))
-            assert certificate.verify()
+            region = synthesize_robust_level(
+                flow, halfspace, candidate.exact_p(10)
+            )
+            assert region.bounded and region.k > 0
 
     def test_lyapunov_decreases_along_simulation(self):
         """The validated V must decrease along an actual trajectory."""

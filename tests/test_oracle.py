@@ -12,7 +12,6 @@ from repro.oracle import (
     QUICK_PROFILE,
     check_system,
     generate_system,
-    load_failures,
     replay_spec,
     shrink_failure,
     system_specs,
@@ -142,7 +141,8 @@ def test_failure_artifacts_roundtrip(tmp_path):
         tmp_path, record, minimal={"kind": "stable", "n": 1, "seed": 21}
     )
     assert npz_path.exists()
-    entries = load_failures(tmp_path)
+    lines = (tmp_path / "failures.jsonl").read_text().splitlines()
+    entries = [json.loads(line) for line in lines]
     assert len(entries) == 1
     entry = entries[0]
     assert entry["spec"] == {"kind": "stable", "n": 2, "seed": 21}

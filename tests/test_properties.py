@@ -19,12 +19,10 @@ from repro.exact import (
 )
 from repro.lyapunov import synthesize
 from repro.robust import synthesize_robust_level
-from repro.smt import LinearConstraint, Relation, Var, solve_linear
+from repro.smt import LinearConstraint, Relation
 from repro.smt.linear import check_farkas_certificate
 from repro.systems import AffineSystem, HalfSpace
 from repro.validate import validate_candidate
-
-x, y = Var("x"), Var("y")
 
 
 def random_stable(n, seed, margin=0.5):
@@ -221,48 +219,71 @@ class TestTensorizedOracleAgreement:
         ), seed
 
 
-class TestLinearSolverDuality:
-    """solve_linear returns a model XOR a Farkas certificate — never
-    neither, never both — and whichever it returns checks out."""
+@st.composite
+def farkas_systems(draw):
+    """A constraint system over 2-3 variables with a known certificate.
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(-3, 3), st.integers(-3, 3), st.integers(-5, 5),
-                st.sampled_from([Relation.LE, Relation.LT, Relation.EQ]),
-            ),
-            min_size=1,
-            max_size=5,
+    Random rows get random multipliers (at least 0 on inequalities,
+    free on equalities); one closing inequality cancels their
+    combination and leaves a positive constant, or 0 when it is strict.
+    Returns ``(constraints, certificate, closing_index)``.
+    """
+    names = ["x", "y", "z"][: draw(st.integers(2, 3))]
+    small = st.integers(-4, 4)
+    constraints, certificate = [], {}
+    for index in range(draw(st.integers(1, 5))):
+        relation = draw(
+            st.sampled_from([Relation.LE, Relation.LT, Relation.EQ])
         )
-    )
-    def test_model_xor_certificate(self, rows):
-        constraints = [
-            LinearConstraint(
-                (("x", Fraction(a)), ("y", Fraction(b))), Fraction(c), rel
-            )
-            for a, b, c, rel in rows
-        ]
-        result = solve_linear(constraints)
-        if result.satisfiable:
-            assert result.model is not None
-            assert result.farkas is None
-            for constraint in constraints:
-                value = sum(
-                    (coef * result.model.get(var, Fraction(0))
-                     for var, coef in constraint.coeffs),
-                    Fraction(0),
-                ) + constraint.constant
-                if constraint.relation is Relation.LE:
-                    assert value <= 0
-                elif constraint.relation is Relation.LT:
-                    assert value < 0
-                else:
-                    assert value == 0
-        else:
-            assert result.model is None
-            assert result.farkas is not None
-            assert check_farkas_certificate(constraints, result.farkas)
+        constraints.append(LinearConstraint(
+            tuple((name, Fraction(draw(small))) for name in names),
+            Fraction(draw(small)), relation,
+        ))
+        low = None if relation is Relation.EQ else 0
+        certificate[index] = draw(st.fractions(
+            min_value=low, max_value=4, max_denominator=6,
+        ))
+    combined = {name: Fraction(0) for name in names}
+    constant = Fraction(0)
+    for index, multiplier in certificate.items():
+        for name, coeff in constraints[index].coeffs:
+            combined[name] += multiplier * coeff
+        constant += multiplier * constraints[index].constant
+    target = Fraction(draw(st.integers(0, 5)))
+    strict = target == 0 or draw(st.booleans())
+    constraints.append(LinearConstraint(
+        tuple((name, -combined[name]) for name in names),
+        target - constant, Relation.LT if strict else Relation.LE,
+    ))
+    certificate[len(constraints) - 1] = Fraction(1)
+    return constraints, certificate, len(constraints) - 1
+
+
+class TestFarkasChecker:
+    """The checker accepts every certificate built to cancel, and
+    rejects it once an inequality multiplier turns negative or the
+    closing row is dropped."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(farkas_systems(), st.data())
+    def test_accepts_constructed_rejects_broken(self, system, data):
+        constraints, certificate, closing = system
+        assert check_farkas_certificate(constraints, certificate)
+
+        positive = sorted(
+            index for index, multiplier in certificate.items()
+            if constraints[index].relation is not Relation.EQ
+            and multiplier > 0
+        )
+        flip = data.draw(st.sampled_from(positive))
+        negated = dict(certificate)
+        negated[flip] = -negated[flip]
+        assert not check_farkas_certificate(constraints, negated)
+
+        if any(coeff != 0 for _, coeff in constraints[closing].coeffs):
+            truncated = dict(certificate)
+            del truncated[closing]
+            assert not check_farkas_certificate(constraints, truncated)
 
 
 class TestReductionMonotonicity:

@@ -7,7 +7,6 @@ from repro.reduction import (
     balance,
     balanced_truncation,
     controllability_gramian,
-    hankel_singular_values,
     observability_gramian,
 )
 from repro.systems import StateSpace
@@ -49,10 +48,10 @@ class TestGramians:
     def test_hankel_first_order(self):
         # G(s) = 1/(s + a): single Hankel value 1/(2a).
         sys = StateSpace([[-2.0]], [[1.0]], [[1.0]])
-        assert hankel_singular_values(sys) == pytest.approx([0.25])
+        assert balance(sys).hankel_values == pytest.approx([0.25])
 
     def test_hankel_sorted_descending(self):
-        values = hankel_singular_values(random_stable_system(6, seed=4))
+        values = balance(random_stable_system(6, seed=4)).hankel_values
         assert all(values[i] >= values[i + 1] for i in range(len(values) - 1))
 
 

@@ -224,12 +224,9 @@ class TestCore:
                  SleepTask(0.0, "fast2")]
         assert run_tasks(tasks, jobs=2) == ["slow", "fast1", "fast2"]
 
-    def test_resolve_jobs(self, monkeypatch):
+    def test_resolve_jobs(self):
         # The default honours the CPU *affinity* mask (what a container
         # or taskset actually grants), not the machine's core count.
-        # A REPRO_JOBS override (tested in test_service.py) would shadow
-        # the affinity default, so make sure it is unset here.
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
         expected = (
             len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity")

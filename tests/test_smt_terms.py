@@ -9,20 +9,16 @@ from hypothesis import strategies as st
 from repro.exact import RationalMatrix
 from repro.smt import (
     Atom,
-    Const,
     Relation,
     Var,
     affine_term,
     point_satisfies,
-    poly_degree,
     poly_eval,
-    poly_free_vars,
-    poly_is_linear,
     polynomial_of,
     quadratic_form_term,
 )
 
-x, y, z = Var("x"), Var("y"), Var("z")
+x, y = Var("x"), Var("y")
 
 
 class TestTermBuilding:
@@ -68,18 +64,6 @@ class TestTermBuilding:
 
 
 class TestPolynomialQueries:
-    def test_degree(self):
-        assert poly_degree(polynomial_of(x * y * z + x)) == 3
-        assert poly_degree(polynomial_of(Const(Fraction(5)))) == 0
-        assert poly_degree({}) == 0
-
-    def test_is_linear(self):
-        assert poly_is_linear(polynomial_of(2 * x + 3))
-        assert not poly_is_linear(polynomial_of(x * y))
-
-    def test_free_vars(self):
-        assert poly_free_vars(polynomial_of(x * y + z)) == {"x", "y", "z"}
-
     def test_eval(self):
         poly = polynomial_of(x**2 + 2 * y)
         assert poly_eval(poly, {"x": 3, "y": Fraction(1, 2)}) == 10

@@ -10,7 +10,6 @@ from repro.systems import (
     PwaMode,
     PwaSystem,
     rk45_step,
-    settling_time,
     simulate_affine,
     simulate_pwa,
 )
@@ -47,13 +46,6 @@ class TestSimulateAffine:
         w0 = np.array([1.0, 1.0])
         trajectory = simulate_affine(system, w0, t_final=1.0, rtol=1e-10)
         assert trajectory.final_state == pytest.approx(expm(a) @ w0, abs=1e-7)
-
-    def test_state_interpolation(self):
-        system = AffineSystem([[0.0]], [1.0])  # x(t) = t
-        trajectory = simulate_affine(system, [0.0], t_final=2.0)
-        assert trajectory.state_at(1.3)[0] == pytest.approx(1.3, abs=1e-6)
-        assert trajectory.state_at(-1.0)[0] == 0.0
-        assert trajectory.state_at(99.0)[0] == pytest.approx(2.0, abs=1e-6)
 
 
 def bouncing_modes():
@@ -105,9 +97,6 @@ class TestPwaSystem:
         assert eqs[0] == pytest.approx([-1.0])
         assert eqs[1] == pytest.approx([1.0])
 
-    def test_cover_check(self):
-        assert bouncing_modes().check_cover()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PwaSystem([])
@@ -152,15 +141,3 @@ class TestSimulatePwa:
         assert not trajectory.completed
         assert trajectory.n_switches == 50
         assert abs(trajectory.final_state[0]) < 0.2
-
-    def test_settling_time(self):
-        system = AffineSystem([[-1.0]], [0.0])
-        trajectory = simulate_affine(system, [1.0], t_final=20.0)
-        settle = settling_time(trajectory, np.array([0.0]), tolerance=1e-3)
-        # e^{-t} <= 1e-3 at t = ln(1000) ~ 6.9.
-        assert settle == pytest.approx(np.log(1000.0), abs=0.5)
-
-    def test_settling_time_none_when_unsettled(self):
-        system = AffineSystem([[0.0]], [1.0])  # x grows linearly
-        trajectory = simulate_affine(system, [0.0], t_final=5.0)
-        assert settling_time(trajectory, np.array([0.0]), tolerance=0.1) is None
